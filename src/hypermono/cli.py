@@ -22,6 +22,7 @@ from .exponents import (
     LengthMismatchError,
     MultiplicityStructure,
     ResonantPairError,
+    group_exponents,
     parse_index_list,
     raw_exponent_data,
     validate_irreducible,
@@ -132,10 +133,7 @@ def _check_cyclic(cfg: RunConfig, tol) -> VerificationReport:
                  if cfg.extra.get("m") else None)
         ms = MultiplicityStructure.from_values(values, mults)
     else:
-        data = _data_from(cfg)
-        from .exponents import group_exponents
-
-        ms = group_exponents(data, "alpha")
+        ms = group_exponents(_data_from(cfg), "alpha")
     l = cfg.l if cfg.l is not None else 0
     bound = tol or 1e-9
     C = matrices.cyclic_conjugate(ms, l)

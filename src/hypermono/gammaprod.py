@@ -6,9 +6,9 @@ The balanced product
 
 is entire, and its Taylor jets in the shift parameter t (normalized by
 powers of 2*pi*i) supply the coefficients of every local solution series.
-Reciprocal gamma is a Lanczos rational approximation for Re s >= 1/2 and
-the reflection 1/Gamma(s) = sin(pi s)/pi * Gamma(1-s) otherwise, so the
-zeros at non-positive integers come out exact.
+Reciprocal gamma is scipy.special.rgamma, whose zeros at the non-positive
+integers come out exact; the jets are built from lgamma, gammasgn, psi and
+Hurwitz zeta values.
 
 An optional extended-precision mode (about 30 significant digits, via
 mpmath) can be switched on for oracle comparisons that want headroom; the
@@ -17,12 +17,10 @@ results are rounded back to complex128 on return.
 
 from __future__ import annotations
 
-import cmath
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import scipy.special as sp
@@ -44,27 +42,6 @@ __all__ = [
     "get_precision",
     "precision_context",
 ]
-
-# Lanczos g = 607/128, 15 terms (Godfrey's coefficients); relative error
-# of Gamma is a few ulp on the half-plane Re z >= 1/2.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
 
 _PRECISION = "double"
 _EXTENDED_DPS = 30
@@ -91,24 +68,6 @@ def precision_context(mode: str):
         set_precision(old)
 
 
-def _sinpi(z: complex) -> complex:
-    # reduce the real part first so near-integer arguments keep full
-    # relative accuracy
-    k = round(z.real)
-    f = z - k
-    s = cmath.sin(math.pi * f)
-    return -s if k % 2 else s
-
-
-def _lanczos_gamma(z: complex) -> complex:
-    # valid for Re z >= 0.5
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z - 1 + k)
-    t = z + (_LANCZOS_G - 0.5)
-    return math.sqrt(2 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * acc
-
-
 def reciprocal_gamma(s: complex) -> complex:
     """Entire function 1/Gamma(s); exact zeros at s = 0, -1, -2, ..."""
     s = complex(s)
@@ -117,15 +76,11 @@ def reciprocal_gamma(s: complex) -> complex:
 
         with mp.workdps(_EXTENDED_DPS):
             return complex(mp.rgamma(mp.mpc(s.real, s.imag)))
-    if s.imag == 0.0 and s.real == round(s.real) and s.real <= 0:
-        return 0j
-    if s.real >= 0.5:
-        return 1.0 / _lanczos_gamma(s)
-    return _sinpi(s) / math.pi * _lanczos_gamma(1.0 - s)
+    return complex(sp.rgamma(s))
 
 
 def gamma(s: complex) -> complex:
-    """Gamma(s) from the same Lanczos kernel (poles raise ZeroDivisionError)."""
+    """Gamma(s) from the same scipy kernel (poles raise ZeroDivisionError)."""
     r = reciprocal_gamma(s)
     if r == 0:
         raise ZeroDivisionError(f"Gamma pole at s={s}")
@@ -136,16 +91,7 @@ def balanced_gamma(data: ExponentData, s: complex) -> complex:
     """The entire product of 2n reciprocal gamma factors at s."""
     s = complex(s)
     if get_precision() == "extended":
-        import mpmath as mp
-
-        with mp.workdps(_EXTENDED_DPS):
-            sm = mp.mpc(s.real, s.imag)
-            acc = mp.mpc(1)
-            for a in data.alpha:
-                acc *= mp.rgamma(sm - _to_mp(a) + 1)
-            for b in data.beta:
-                acc *= mp.rgamma(-sm + _to_mp(b) + 1)
-            return complex(acc)
+        return complex(_balanced_mp(data, s, 0)[0])
     acc = 1.0 + 0.0j
     for a in data.alpha:
         acc *= reciprocal_gamma(s - float(a) + 1.0)
@@ -154,9 +100,33 @@ def balanced_gamma(data: ExponentData, s: complex) -> complex:
     return acc
 
 
+def _balanced_mp(data: ExponentData, s0, order: int) -> list:
+    """30-digit Taylor coefficients of t -> G(s0 + t) at t = 0.
+
+    ``order = 0`` gives the value alone.  ``s0`` may be complex, float or
+    Fraction; it is converted at the working precision.
+    """
+    import mpmath as mp
+
+    with mp.workdps(_EXTENDED_DPS):
+        s0m = _to_mp(s0)
+
+        def G(t):
+            acc = mp.mpc(1)
+            for a in data.alpha:
+                acc *= mp.rgamma(s0m + t - _to_mp(a) + 1)
+            for b in data.beta:
+                acc *= mp.rgamma(-s0m - t + _to_mp(b) + 1)
+            return acc
+
+        return [complex(c) for c in mp.taylor(G, mp.mpf(0), order)]
+
+
 def _to_mp(x):
     import mpmath as mp
 
+    if isinstance(x, complex):
+        return mp.mpc(x.real, x.imag)
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
     return mp.mpf(x)
@@ -181,48 +151,6 @@ class Jet:
         return self.coefficients[0]
 
 
-@lru_cache(maxsize=32)
-def _cot_derivative_poly(k: int) -> tuple[float, ...]:
-    """Coefficients (ascending in c = cot(pi y)) of d^k/dy^k cot(pi y)."""
-    coeffs = [0.0, 1.0]  # P_0(c) = c
-    for _ in range(k):
-        # P' in c, then multiply by dc/dy = -pi (1 + c^2)
-        deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
-        nxt = [0.0] * (len(deriv) + 2)
-        for i, d in enumerate(deriv):
-            nxt[i] += -math.pi * d
-            nxt[i + 2] += -math.pi * d
-        coeffs = nxt
-    return tuple(coeffs)
-
-
-def _polygamma_real(k: int, x: float) -> float:
-    """psi^(k)(x) for real non-pole x.
-
-    scipy's polygamma needs positive arguments; moderate arguments are
-    shifted up by the recurrence, and very negative ones go through the
-    reflection psi^(k)(x) = (-1)^k psi^(k)(1-x) - pi d^k cot(pi x)/dx^k,
-    which keeps the cost independent of |x|.
-    """
-    if x == round(x) and x <= 0:
-        raise ValueError(f"polygamma pole at {x}")
-    if x < -8.0:
-        c = 1.0 / math.tan(math.pi * (x - round(x)))
-        poly = _cot_derivative_poly(k)
-        cot_deriv = 0.0
-        for coef in reversed(poly):
-            cot_deriv = cot_deriv * c + coef
-        return (-1.0) ** k * _polygamma_real(k, 1.0 - x) - math.pi * cot_deriv
-    corr = 0.0
-    while x < 8.0:
-        # psi^(k)(x) = psi^(k)(x+1) - (-1)**k k! x**-(k+1)
-        corr -= (-1.0) ** k * math.factorial(k) * x ** (-(k + 1))
-        x += 1.0
-    if k == 0:
-        return float(sp.psi(x)) + corr
-    return float(sp.polygamma(k, x)) + corr
-
-
 def _exact_value(x) -> tuple[float, int | None]:
     """Float value of x plus its integer value when x is exactly integral."""
     if isinstance(x, Fraction):
@@ -244,12 +172,13 @@ def _loggamma_jet_real(x: float, order: int) -> np.ndarray:
     """
     out = np.zeros(order + 1, dtype=complex)
     mag = math.lgamma(x)
-    if x > 0 or _sinpi(complex(x)).real > 0:
-        out[0] = mag
-    else:
-        out[0] = complex(mag, math.pi)
-    for q in range(1, order + 1):
-        out[q] = _polygamma_real(q - 1, x) / math.factorial(q)
+    out[0] = mag if sp.gammasgn(x) > 0 else complex(mag, math.pi)
+    if order >= 1:
+        out[1] = sp.psi(x)
+    if order >= 2:
+        # psi^(k)(x)/(k+1)! = (-1)^(k+1) zeta(k+1, x)/(k+1) for k >= 1
+        k1 = np.arange(2.0, order + 1.0)
+        out[2:] = (-1.0) ** k1 * sp.zeta(k1, x) / k1
     return out
 
 
@@ -257,16 +186,18 @@ def balanced_gamma_jet(data: ExponentData, t0: Index, order: int, l: int) -> Jet
     """Normalized jet of t -> G(l + t) at t = t0.
 
     Assembled in log space: regular reciprocal-gamma factors contribute
-    -log Gamma jets built from polygamma values (so the magnitudes of the
-    2n factors, which individually overflow double range for |l| in the
-    hundreds, cancel before exponentiation), while factors sitting at a
-    zero contribute an exact sin(pi tau)/pi jet times a log Gamma jet via
-    the reflection formula.  No finite differences anywhere.
+    -log Gamma jets built from psi and Hurwitz zeta values (so the
+    magnitudes of the 2n factors, which individually overflow double range
+    for |l| in the hundreds, cancel before exponentiation), while factors
+    sitting at a zero contribute an exact sin(pi tau)/pi jet times a log
+    Gamma jet via the reflection formula.  No finite differences anywhere.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if get_precision() == "extended":
-        return _balanced_gamma_jet_mp(data, t0, order, l)
+        # Fraction(t0) is exact for a float t0, so l + t0 is not rounded
+        coeffs = tj.to_normalized(np.array(_balanced_mp(data, l + Fraction(t0), order)))
+        return Jet(t0=float(t0), order=order, coefficients=tuple(coeffs))
 
     flip = np.array([(-1.0) ** q for q in range(order + 1)])
     log_acc = np.zeros(order + 1, dtype=complex)
@@ -295,25 +226,6 @@ def balanced_gamma_jet(data: ExponentData, t0: Index, order: int, l: int) -> Jet
     for zj in zero_jets:
         acc = tj.tmul(acc, zj)
     coeffs = tj.to_normalized(acc)
-    return Jet(t0=float(t0), order=order, coefficients=tuple(coeffs))
-
-
-def _balanced_gamma_jet_mp(data: ExponentData, t0: Index, order: int, l: int) -> Jet:
-    import mpmath as mp
-
-    with mp.workdps(_EXTENDED_DPS):
-        t0m = _to_mp(t0)
-
-        def G(t):
-            acc = mp.mpc(1)
-            for a in data.alpha:
-                acc *= mp.rgamma(l + t0m + t - _to_mp(a) + 1)
-            for b in data.beta:
-                acc *= mp.rgamma(-l - t0m - t + _to_mp(b) + 1)
-            return acc
-
-        taylor = mp.taylor(G, mp.mpf(0), order)
-        coeffs = tj.to_normalized(np.array([complex(c) for c in taylor]))
     return Jet(t0=float(t0), order=order, coefficients=tuple(coeffs))
 
 

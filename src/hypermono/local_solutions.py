@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _taylor as tj
-from .exponents import ExponentData, Index, MultiplicityStructure, group_exponents
+from .exponents import ExponentData, Index, group_exponents
 from .gammaprod import Jet, balanced_gamma_jet
 
 __all__ = [
@@ -96,11 +96,6 @@ def build_basis(data: ExponentData, side: str, N: int = 80) -> list[SolutionSeri
             out.append(SolutionSeries(side=side, j=j, r=r, representative=rep,
                                       data=data, truncation=N, jets=jets))
     return out
-
-
-def multiplicity_structure(series: list[SolutionSeries]) -> MultiplicityStructure:
-    side = "alpha" if series[0].side == "zero" else "beta"
-    return group_exponents(series[0].data, side)
 
 
 def eval_series(s: SolutionSeries, z: complex, arg: float | None = None,

@@ -198,17 +198,18 @@ def test_pw_growth(suite):
         assert report.passed, report.to_jsonable()
 
 
-def test_extended_precision_matches_double():
+@pytest.mark.parametrize("l", [5, -4])
+def test_extended_precision_matches_double(l):
     d = validate_irreducible((F(0), F(1, 3)), (F(1, 4), F(3, 4)))
     with precision_context("extended"):
         assert get_precision() == "extended"
         v_ext = balanced_gamma(d, 0.3 + 0.2j)
         r_ext = reciprocal_gamma(2.5 - 1j)
-        j_ext = balanced_gamma_jet(d, F(0), 3, 5)
+        j_ext = balanced_gamma_jet(d, F(0), 3, l)
     assert get_precision() == "double"
     assert v_ext == pytest.approx(balanced_gamma(d, 0.3 + 0.2j), rel=1e-12)
     assert r_ext == pytest.approx(reciprocal_gamma(2.5 - 1j), rel=1e-12)
-    j = balanced_gamma_jet(d, F(0), 3, 5)
+    j = balanced_gamma_jet(d, F(0), 3, l)
     for a, b in zip(j_ext.coefficients, j.coefficients):
         assert a == pytest.approx(b, rel=1e-10)
 
