@@ -25,6 +25,7 @@ import numpy as np
 
 from .exponents import ExponentData, raw_exponent_data
 from .gammaprod import balanced_gamma, reciprocal_gamma
+from .local_solutions import build_basis
 
 __all__ = [
     "CircleSample",
@@ -334,7 +335,9 @@ def f_piece(data: ExponentData, k: int, phi_grid,
         # puts the requested window at component k of the circle basis)
         from .monodromy import circle_basis_values
 
-        values = np.array([circle_basis_values(data, p, l=k)[k] for p in grid])
+        basis = build_basis(data, "zero")
+        values = np.array([circle_basis_values(data, p, l=k, basis=basis)[k]
+                           for p in grid])
         return CircleSample(k=k, grid=tuple(grid), values=tuple(values))
 
     shifted, R, m = shift_reduce(data)

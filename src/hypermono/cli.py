@@ -178,8 +178,10 @@ def _check_stirling(data, tol) -> VerificationReport:
 
 def _check_oracle(data, tol) -> VerificationReport:
     sys_ = ode_oracle.companion_system(data)
-    m0 = ode_oracle.loop_monodromy(sys_, data, 0)
-    ml = ode_oracle.loop_monodromy(sys_, data, "lambda")
+    # both loops are based at |z| = 0.3, inside the disc of the series at 0
+    basis = local_solutions.build_basis(data, "zero")
+    m0 = ode_oracle.loop_monodromy(sys_, data, 0, basis=basis)
+    ml = ode_oracle.loop_monodromy(sys_, data, "lambda", basis=basis)
     alg = monodromy.monodromy_matrices(data, "A")
     return ode_oracle.compare_invariants(alg, (m0, ml), tol=tol or 1e-6)
 

@@ -30,6 +30,7 @@ __all__ = [
     "ConvergenceError",
     "build_basis",
     "eval_series",
+    "eval_derivatives",
     "coefficient_recurrence_residual",
 ]
 
@@ -104,8 +105,72 @@ def eval_series(s: SolutionSeries, z: complex, arg: float | None = None,
 
     ``arg`` fixes the branch of log z and must agree with the angle of z
     mod 2 pi.  D = z d/dz acts on the l-th term as multiplication by the
-    jet of (l + t), so derivatives reuse the same gamma jets.
+    jet of (l + t), so derivatives reuse the same gamma jets.  This is the
+    one-row case of :func:`eval_derivatives`.
     """
+    return complex(eval_derivatives(s, z, arg, (dorder,))[0])
+
+
+def eval_derivatives(s: SolutionSeries, z: complex, arg: float | None,
+                     dorders) -> np.ndarray:
+    """Values of D**d S for each d in ``dorders``, from one pass over the terms.
+
+    The terms are summed a block at a time (first the jet table, then
+    blocks of doubling length) as a (row, term) array.  Each row stops
+    where the tail rule alone would stop it: after TAIL_RUN consecutive
+    terms below TAIL_RTOL times the largest partial sum so far, so each
+    row stops at the same term whichever other rows are asked for.
+    """
+    logz = _log_point(s, z, arg)
+    dorders = np.asarray(dorders, dtype=int)
+    rows = len(dorders)
+    sign = 1 if s.side == "zero" else -1
+    t0 = float(s.representative)
+    coef, expo, mix = _row_tables(s.r, dorders, logz / (2j * math.pi))
+
+    # z**(sign*l + t0), advanced multiplicatively over l
+    zpow = cmath.exp(t0 * logz)
+    zstep = cmath.exp(sign * logz)
+    total = np.zeros(rows, dtype=complex)
+    scale = np.zeros(rows)
+    run = np.zeros(rows, dtype=int)
+    out = np.zeros(rows, dtype=complex)
+    done = np.zeros(rows, dtype=bool)
+    lo, hi = 0, s.truncation + 1
+    while lo <= HARD_CAP:
+        hi = min(hi, HARD_CAP + 1)
+        jets = np.array([s.jet(l).coefficients for l in range(lo, hi)], dtype=complex)
+        x = sign * np.arange(lo, hi) + t0
+        zp = np.cumprod(np.concatenate(([zpow], np.full(hi - lo - 1, zstep))))
+        # W[l, q] is the q-th weighted B column of _row_tables at term l
+        W = jets @ mix
+        terms = np.zeros((rows, hi - lo), dtype=complex)
+        for q in range(mix.shape[1]):
+            terms += coef[:, q, None] * x ** expo[:, q, None] * W[:, q]
+        terms *= zp
+        sums = np.cumsum(np.column_stack([total, terms]), axis=1)[:, 1:]
+        scales = np.maximum.accumulate(np.column_stack([scale, np.abs(sums)]), axis=1)[:, 1:]
+        # the tail test only starts once something nonzero has appeared:
+        # a class spread over several integers makes that many leading
+        # gamma jets vanish identically
+        small = (scales > 0.0) & (np.abs(terms) <= TAIL_RTOL * scales)
+        # length of the run of small terms ending at each position
+        k = np.arange(hi - lo)
+        runs = k - np.maximum.accumulate(np.where(small, -1 - run[:, None], k), axis=1)
+        hit = runs >= TAIL_RUN
+        stop = hit.any(axis=1) & ~done
+        out[stop] = sums[stop, hit[stop].argmax(axis=1)]
+        done |= stop
+        if done.all():
+            return out
+        total, scale, run = sums[:, -1], scales[:, -1], runs[:, -1]
+        zpow = zp[-1] * zstep
+        lo, hi = hi, 2 * hi
+    raise ConvergenceError(f"series did not converge within {HARD_CAP} terms")
+
+
+def _log_point(s: SolutionSeries, z: complex, arg: float | None) -> complex:
+    """log z on the universal cover, after checking arg and the side's domain."""
     if arg is None:
         raise BranchRequiredError("pass arg z explicitly (universal cover)")
     z = complex(z)
@@ -123,52 +188,33 @@ def eval_series(s: SolutionSeries, z: complex, arg: float | None = None,
         raise ValueError("side 'zero' series converge only for |z| < 1")
     if s.side == "infinity" and rho <= 1.0:
         raise ValueError("side 'infinity' series converge only for |z| > 1")
-
-    logz = complex(math.log(rho), arg)
-    w = logz / (2j * math.pi)
-    wpow = np.array([w ** p for p in range(s.r + 1)])
-    binom = np.array([math.comb(s.r, p) for p in range(s.r + 1)], dtype=float)
-    sign = 1 if s.side == "zero" else -1
-
-    t0 = float(s.representative)
-    # z**(sign*l + t0), advanced multiplicatively over l
-    zpow = cmath.exp(t0 * logz)
-    zstep = cmath.exp(sign * logz)
-
-    total = 0.0 + 0.0j
-    small_run = 0
-    scale = 0.0
-    l = 0
-    while l <= HARD_CAP:
-        coeffs = _term_coeffs(s, l, dorder)
-        # sum_p binom(r, p) c_{r-p} w**p
-        term = zpow * np.dot(binom * wpow, coeffs[::-1])
-        total += term
-        scale = max(scale, abs(total))
-        # the tail test only starts once something nonzero has appeared:
-        # a class spread over several integers makes that many leading
-        # gamma jets vanish identically
-        if scale > 0.0 and abs(term) <= TAIL_RTOL * scale:
-            small_run += 1
-            if small_run >= TAIL_RUN:
-                return total
-        else:
-            small_run = 0
-        zpow *= zstep
-        l += 1
-    raise ConvergenceError(f"series did not converge within {HARD_CAP} terms")
+    return complex(math.log(rho), arg)
 
 
-def _term_coeffs(s: SolutionSeries, l: int, dorder: int) -> np.ndarray:
-    """Normalized jet of G(+-l + t) (l + t)**dorder at the representative."""
-    jet = np.asarray(s.jet(l).coefficients, dtype=complex)
-    if dorder == 0:
-        return jet
-    shift = s._shift(l)
-    taylor = tj.from_normalized(jet)
-    lin = tj.tlinear(shift + float(s.representative), 1.0, s.r)
-    taylor = tj.tmul(taylor, tj.tpow_int(lin, dorder))
-    return tj.to_normalized(taylor)
+def _row_tables(r: int, dorders: np.ndarray, w: complex):
+    """Weights that turn jets of G(+-l + t) into the terms of D**d S_r.
+
+    With c the normalized jet at x = +-l + rep and w = log z/(2 pi i), the
+    term of D**d S is z**x times
+
+        sum_q binom(d, q) x**(d-q) r!/((r-q)! (2 pi i)**q) B_{r-q},
+        B_m = sum_p binom(m, p) w**p c_{m-p},
+
+    the normalized r-th derivative of G(x + tau) (x + tau)**d z**tau.
+    Returns coef[d, q] = binom(d, q), expo[d, q] = max(d - q, 0) and mix,
+    with (c @ mix)[q] = r!/((r-q)! (2 pi i)**q) B_{r-q}.
+    """
+    width = min(int(dorders.max()), r) + 1
+    mix = np.zeros((r + 1, width), dtype=complex)
+    for q in range(width):
+        m = r - q
+        kq = math.factorial(r) / math.factorial(m) / (2j * math.pi) ** q
+        for i in range(m + 1):
+            mix[i, q] = kq * math.comb(m, i) * w ** (m - i)
+    coef = np.array([[math.comb(int(d), q) for q in range(width)] for d in dorders],
+                    dtype=float)
+    expo = np.maximum(dorders[:, None] - np.arange(width)[None, :], 0)
+    return coef, expo, mix
 
 
 def coefficient_recurrence_residual(data: ExponentData, side: str, l: int) -> float:

@@ -27,7 +27,7 @@ from .circle_solutions import QuadratureParams, h_convolution, piece_interval
 from .exponents import ExponentData, MultiplicityStructure, group_exponents
 from .matrices import ComplexMatrix, block_diagonal, invert, vandermonde
 from .ode_oracle import companion_system, fundamental_matrix, segment, transport, PathSpec
-from .local_solutions import build_basis
+from .local_solutions import SolutionSeries, build_basis
 from .report import VerificationReport
 
 __all__ = [
@@ -133,10 +133,30 @@ def change_of_basis(data: ExponentData, l: int | None = None):
     return (vandermonde(ms_a, l).transpose(), vandermonde(ms_b, l).transpose())
 
 
-def _boundary_values(data: ExponentData, side: str, phi: float) -> np.ndarray:
+_LOCAL_SIDE = {"A": "zero", "B": "infinity"}
+
+
+def _side_basis(data: ExponentData, side: str,
+                basis: list[SolutionSeries] | None) -> list[SolutionSeries]:
+    """The local basis behind circle side 'A' (at 0) or 'B' (at infinity).
+
+    A prebuilt ``basis`` is checked against the side and the indices; one
+    is built when none is given.
+    """
+    want = _LOCAL_SIDE[side]
+    if basis is None:
+        return build_basis(data, want)
+    if basis[0].side != want or basis[0].data != data:
+        raise ValueError(f"side {side!r} needs the {want!r} basis of these indices, "
+                         f"got a {basis[0].side!r} basis of {basis[0].data.describe()}")
+    return basis
+
+
+def _boundary_values(data: ExponentData, side: str, phi: float,
+                     basis: list[SolutionSeries] | None = None) -> np.ndarray:
     """Values of the side's basis at z = e^(2 pi i phi) by radial transport."""
+    basis = _side_basis(data, side, basis)
     sys = companion_system(data)
-    basis = build_basis(data, "zero" if side == "A" else "infinity")
     rho = 0.5 if side == "A" else 2.0
     theta = 2 * math.pi * phi
     z0 = rho * cmath.exp(1j * theta)
@@ -147,14 +167,17 @@ def _boundary_values(data: ExponentData, side: str, phi: float) -> np.ndarray:
 
 
 def circle_basis_values(data: ExponentData, phi: float, l: int | None = None,
-                        side: str = "A") -> np.ndarray:
+                        side: str = "A",
+                        basis: list[SolutionSeries] | None = None) -> np.ndarray:
     """The circle basis (f_0(phi), ..., f_{n-1}(phi)) by Vandermonde solve.
 
     Transported boundary values of the local solutions satisfy
     S_vec = V f_vec, so solving the generalized Vandermonde system
     recovers the circle pieces at any phi in the branch-l window.  This
     is the production route for n > 3, where direct convolution
-    quadrature is no longer affordable.
+    quadrature is no longer affordable.  ``basis`` is the side's local
+    basis (``build_basis`` at 'zero' for A, 'infinity' for B); pass one
+    built once to evaluate many phi.
     """
     n = data.n
     if l is None:
@@ -165,7 +188,7 @@ def circle_basis_values(data: ExponentData, phi: float, l: int | None = None,
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     ms = group_exponents(data, "alpha" if side == "A" else "beta")
-    S = _boundary_values(data, side, phi)
+    S = _boundary_values(data, side, phi, basis)
     V = vandermonde(ms, l)
     return np.linalg.solve(V.entries, S)
 
@@ -205,16 +228,19 @@ def replication_identity_check(data: ExponentData, l: int | None = None,
         }
         independent = True
     else:
-        fk = {phi: circle_basis_values(data, phi, l, side="A") for phi in phis}
+        basis_a = build_basis(data, "zero")
+        fk = {phi: circle_basis_values(data, phi, l, side="A", basis=basis_a)
+              for phi in phis}
         sides = tuple(s for s in sides if s != "A")
         independent = False
 
     report = VerificationReport()
     for side in sides:
         ms = group_exponents(data, "alpha" if side == "A" else "beta")
+        basis = build_basis(data, _LOCAL_SIDE[side])
         worst = 0.0
         for phi in phis:
-            boundary = _boundary_values(data, side, phi)
+            boundary = _boundary_values(data, side, phi, basis)
             col = 0
             for val, mult in zip(ms.values, ms.multiplicities):
                 for r in range(mult):

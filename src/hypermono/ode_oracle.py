@@ -8,11 +8,16 @@ coefficient matrix analytic away from 0 and lambda:
     (z b_k - lambda a_k) / (lambda - z).
 
 Transport along paths is an embedded Dormand-Prince 5(4) pair with PI
-step control on the full fundamental matrix.  Loops around 0, lambda and
-infinity are built from circles and radial segments based at a point
-where the local series converge, so the transported monodromy comes out
-in the same bases as the closed-form matrices and can be compared
-entrywise, not just up to conjugation.
+step control on the full fundamental matrix.  The state is flattened and
+the seven stage derivatives K are kept as the rows of one (7, Y.size)
+array, so each stage input is a single product of a tableau row with the
+earlier stages, the error estimate is (B5 - B4) @ K, and the fifth-order
+solution is the seventh stage input (first same as last).
+
+Loops around 0, lambda and infinity are built from circles and radial
+segments based at a point where the local series converge, so the
+transported monodromy comes out in the same bases as the closed-form
+matrices and can be compared entrywise, not just up to conjugation.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .exponents import ExponentData, group_exponents
-from .local_solutions import SolutionSeries, build_basis, eval_series
+from .local_solutions import SolutionSeries, build_basis, eval_derivatives
 from .matrices import ComplexMatrix, char_poly
 from .report import VerificationReport
 
@@ -79,12 +84,8 @@ class OdeSystem:
         if abs(z) < 1e-8 or abs(z - self.lam) < 1e-8:
             raise EvaluationNearSingularity(f"z={z} too close to a singular point")
         n = self.dimension
-        N = np.zeros((n, n), dtype=complex)
-        for k in range(n - 1):
-            N[k, k + 1] = 1.0
-        denom = self.lam - z
-        for k in range(n):
-            N[n - 1, k] = (z * self.b_coeffs[k] - self.lam * self.a_coeffs[k]) / denom
+        N = np.eye(n, k=1, dtype=complex)
+        N[-1] = (z * self.b_coeffs[:n] - self.lam * self.a_coeffs[:n]) / (self.lam - z)
         return N / z
 
 
@@ -162,56 +163,59 @@ class PathSpec:
 
 # --- Dormand-Prince 5(4) -----------------------------------------------------
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-          -92097 / 339200, 187 / 2100, 1 / 40)
+# Butcher tableau as arrays; row 6 of A equals B5 (first same as last)
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                   -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 
 
 def _integrate_piece(sys: OdeSystem, piece: _Piece, Y: np.ndarray,
                      rtol: float, atol: float, max_step: float) -> np.ndarray:
-    def rhs(t, M):
-        z = piece.z(t)
-        return piece.dz(t) * (sys.coefficient_matrix(z) @ M)
+    shape = Y.shape
 
+    def rhs(t, y):
+        M = y.reshape(shape)
+        return (piece.dz(t) * (sys.coefficient_matrix(piece.z(t)) @ M)).ravel()
+
+    y = Y.ravel()
+    K = np.empty((7, y.size), dtype=complex)  # stage derivatives as rows
     t = 0.0
     h = min(max_step, 1e-2)
     err_prev = 1.0
-    k1 = rhs(t, Y)
+    K[0] = rhs(t, y)
     while t < 1.0 - 1e-14:
         last = t + h >= 1.0
         step = 1.0 - t if last else h
-        ks = [k1]
         for i in range(1, 7):
-            acc = Y + step * sum(aij * kj for aij, kj in zip(_DP_A[i], ks))
-            ks.append(rhs(t + _DP_C[i] * step, acc))
-        y5 = Y + step * sum(b * k for b, k in zip(_DP_B5, ks))
-        y4 = Y + step * sum(b * k for b, k in zip(_DP_B4, ks))
-        scale = atol + rtol * np.maximum(np.abs(Y), np.abs(y5))
-        err = math.sqrt(float(np.mean((np.abs(y5 - y4) / scale) ** 2)))
+            stage = y + step * (_DP_A[i, :i] @ K[:i])
+            K[i] = rhs(t + _DP_C[i] * step, stage)
+        y5 = stage  # the last stage input is the fifth-order solution
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = math.sqrt(float(np.mean((np.abs(step * (_DP_E @ K)) / scale) ** 2)))
         if err <= 1.0:
             t = 1.0 if last else t + step
-            Y = y5
-            k1 = ks[6]  # FSAL
+            y = y5
+            K[0] = K[6]  # FSAL
             # PI controller
             fac = 0.9 * err ** -0.7 * err_prev ** 0.4 if err > 0 else 5.0
             err_prev = max(err, 1e-10)
             h = min(max_step, h * min(5.0, max(0.2, fac)))
         else:
             h = step * max(0.2, 0.9 * err ** -0.25)
-            k1 = ks[0]
             if h < 1e-12:
                 raise StepFailure("step size underflow during transport")
-    return Y
+    return y.reshape(shape)
 
 
 def transport(sys: OdeSystem, path: PathSpec, Y0: ComplexMatrix | np.ndarray,
@@ -241,11 +245,7 @@ def base_angle(data: ExponentData, l: int | None = None) -> float:
 def fundamental_matrix(series: list[SolutionSeries], z: complex, arg: float) -> np.ndarray:
     """Columns are the basis solutions as (u, Du, ..., D^(n-1) u) vectors."""
     n = len(series)
-    Y = np.zeros((n, n), dtype=complex)
-    for col, s in enumerate(series):
-        for row in range(n):
-            Y[row, col] = eval_series(s, z, arg, dorder=row)
-    return Y
+    return np.column_stack([eval_derivatives(s, z, arg, range(n)) for s in series])
 
 
 def _sing_set(sys: OdeSystem) -> tuple[complex, ...]:

@@ -187,3 +187,16 @@ def test_negative_tol_rejected(capsys):
          "--tol", "-1"], capsys
     )
     assert code == 2
+
+
+def test_mismatched_basis_is_an_input_error(capsys, monkeypatch):
+    # a local basis of the wrong side reaching circle_basis_values is a
+    # ValueError, which the CLI reports as exit 2
+    from hypermono import circle_solutions, local_solutions
+
+    monkeypatch.setattr(circle_solutions, "build_basis",
+                        lambda data, side: local_solutions.build_basis(data, "infinity"))
+    code, _, err = run(["eval", "--what", "f", "--alpha", "0,1/4,1/2,3/4",
+                        "--beta", "1/8,3/8,5/8,7/8", "--k", "2", "--phi", "0.25"], capsys)
+    assert code == 2
+    assert "needs the 'zero' basis" in err

@@ -235,3 +235,41 @@ def test_build_basis_validation(simple):
         build_basis(simple, "nowhere")
     with pytest.raises(ValueError):
         build_basis(simple, "zero", N=0)
+
+
+def _termwise(s, z, arg, dorder, terms=200):
+    """Reference D**dorder S: a fixed number of terms, each from jet arithmetic."""
+    from hypermono import _taylor as tj
+
+    logz = complex(math.log(abs(z)), arg)
+    sign = 1 if s.side == "zero" else -1
+    total = 0.0 + 0.0j
+    for l in range(terms):
+        x = sign * l + float(s.representative)
+        # G(x + tau) (x + tau)**dorder z**(x + tau), r-th normalized tau-derivative
+        g = tj.from_normalized(np.asarray(s.jet(l).coefficients, dtype=complex))
+        g = tj.tmul(g, tj.tpow_int(tj.tlinear(x, 1.0, s.r), dorder))
+        g = tj.tmul(g, tj.texp(tj.tlinear(x * logz, logz, s.r)))
+        total += tj.to_normalized(g)[s.r]
+    return total
+
+
+@pytest.mark.parametrize("case", ["simple", "resonant_log", "infinity"])
+def test_one_pass_rows_match_single_rows(case, simple, resonant):
+    from hypermono.local_solutions import eval_derivatives
+
+    if case == "simple":
+        basis, z, arg = build_basis(simple, "zero"), 0.4 * np.exp(2.0j), 2.0
+    elif case == "resonant_log":
+        basis, z, arg = build_basis(resonant, "zero"), 0.5 * np.exp(-1.0j), -1.0 + 2 * math.pi
+        assert basis[1].r == 1
+    else:
+        data = validate_irreducible((F(0), F(1, 3), F(2, 3)), (F(1, 4), F(1, 2), F(3, 4)))
+        basis, z, arg = build_basis(data, "infinity"), 2.5 * np.exp(0.7j), 0.7
+    rows = 4
+    for s in basis:
+        got = eval_derivatives(s, z, arg, range(rows))
+        single = np.array([eval_series(s, z, arg, dorder=d) for d in range(rows)])
+        ref = np.array([_termwise(s, z, arg, d) for d in range(rows)])
+        assert np.all(np.abs(got - single) <= 1e-13 * np.abs(single))
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))

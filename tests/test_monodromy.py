@@ -200,3 +200,49 @@ def test_result_shape_metadata():
     payload = res.to_jsonable()
     assert payload["basis"] == "A" and payload["l"] == 1
     assert payload["lambda"] == [1.0, 0.0]
+
+
+N4 = ((F(0), F(1, 4), F(1, 2), F(3, 4)), (F(1, 8), F(3, 8), F(5, 8), F(7, 8)))
+
+
+def test_prebuilt_basis_gives_identical_values():
+    from hypermono.local_solutions import build_basis
+    from hypermono.monodromy import circle_basis_values
+
+    data = validate_irreducible(*N4)
+    zero, inf = build_basis(data, "zero"), build_basis(data, "infinity")
+    for phi in (0.3, 0.75):  # branch l = 2 covers (0, 1)
+        assert np.array_equal(circle_basis_values(data, phi, 2, basis=zero),
+                              circle_basis_values(data, phi, 2))
+        assert np.array_equal(circle_basis_values(data, phi, 2, side="B", basis=inf),
+                              circle_basis_values(data, phi, 2, side="B"))
+
+
+def test_basis_of_the_wrong_side_or_indices_is_rejected():
+    from hypermono.local_solutions import build_basis
+    from hypermono.monodromy import _boundary_values, circle_basis_values
+
+    data = validate_irreducible(*N4)
+    zero, inf = build_basis(data, "zero"), build_basis(data, "infinity")
+    with pytest.raises(ValueError, match="side 'A'"):
+        circle_basis_values(data, 0.25, 2, side="A", basis=inf)
+    with pytest.raises(ValueError, match="side 'B'"):
+        circle_basis_values(data, 0.25, 2, side="B", basis=zero)
+    with pytest.raises(ValueError):
+        _boundary_values(data, "A", 0.25, inf)
+    other = validate_irreducible((F(0), F(1, 4), F(1, 2), F(1, 3)), N4[1])
+    with pytest.raises(ValueError):
+        circle_basis_values(other, 0.25, 2, basis=zero)
+
+
+def test_f_piece_n4_matches_pointwise_circle_values():
+    # f_piece builds one basis for the whole grid; each point must come out
+    # exactly as a standalone circle_basis_values call with its own basis
+    from hypermono.circle_solutions import f_piece
+    from hypermono.monodromy import circle_basis_values
+
+    data = validate_irreducible(*N4)
+    k, grid = 1, [-0.8, -0.45, -0.1]
+    sample = f_piece(data, k, grid)
+    expect = [circle_basis_values(data, p, l=k)[k] for p in grid]
+    assert np.array_equal(np.array(sample.values), np.array(expect))

@@ -231,3 +231,24 @@ def test_char_poly_of_loops_matches_exponents():
     for a in data.alpha:
         expect = np.convolve(expect, [1.0, -np.exp(2j * np.pi * float(a))])
     assert np.max(np.abs(char_poly(M0) - expect)) <= 1e-8
+
+
+def test_dormand_prince_first_same_as_last():
+    from hypermono.ode_oracle import _DP_A, _DP_B5
+
+    np.testing.assert_array_equal(_DP_A[6], _DP_B5)
+
+
+def test_rectangular_state_matches_square_columns():
+    data = validate_irreducible((F(0), F(1, 3), F(2, 3)), (F(1, 4), F(1, 2), F(3, 4)))
+    sys = companion_system(data)
+    Y0 = fundamental_matrix(build_basis(data, "zero"), 0.3, 0.0)
+    sing = (0.0 + 0j, sys.lam)
+    path = PathSpec(pieces=(segment(0.3, 0.5 + 0.4j, sing),
+                            arc(0.0, abs(0.5 + 0.4j), cmath.phase(0.5 + 0.4j), 2.5, sing)),
+                    base=0.3)
+    full = transport(sys, path, Y0)
+    for cols in ([0, 2], [1]):
+        part = transport(sys, path, Y0[:, cols])
+        assert part.shape == (3, len(cols))
+        assert np.max(np.abs(part - full[:, cols])) <= 1e-9 * np.max(np.abs(full))
