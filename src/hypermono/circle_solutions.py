@@ -34,6 +34,7 @@ __all__ = [
     "PreconditionError",
     "h_single",
     "h_convolution",
+    "is_smooth",
     "shift_reduce",
     "f_piece",
     "ft_residual",
@@ -159,13 +160,17 @@ def _smooth_pairing(data: ExponentData):
     return list(zip(alphas, betas))
 
 
+def is_smooth(data: ExponentData) -> bool:
+    """Every gap beta_i - alpha_i of the sorted pairing is positive."""
+    return all(b - a > 0 for a, b in _smooth_pairing(data))
+
+
 def _require_smooth(data: ExponentData):
-    pairs = _smooth_pairing(data)
-    if any(b - a <= 0 for a, b in pairs):
+    if not is_smooth(data):
         raise PreconditionError(
             "some beta_i - alpha_i <= 0 in the best pairing; shift_reduce first"
         )
-    return pairs
+    return _smooth_pairing(data)
 
 
 DEFAULT_QUAD = QuadratureParams()

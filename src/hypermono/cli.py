@@ -203,7 +203,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             continue
         if check == "ft":
             data = _data_from(cfg, require_irreducible=False)
-            if run_all and not _smooth_small(data):
+            if run_all and (data.n > 3 or not circle_solutions.is_smooth(data)):
                 report.add("ft_skipped", True, 0.0,
                            reason="needs n <= 3 and positive index gaps")
                 continue
@@ -220,7 +220,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         elif check == "oracle":
             report.merge(_check_oracle(data, tol))
         elif check == "replication":
-            if run_all and data.n <= 3 and not _smooth_small(data):
+            if run_all and data.n <= 3 and not circle_solutions.is_smooth(data):
                 report.add("replication_skipped", True, 0.0,
                            reason="direct kernel needs positive index gaps")
                 continue
@@ -228,14 +228,6 @@ def cmd_verify(cfg: RunConfig) -> int:
                 data, cfg.l, tol=tol or 1e-5))
     _emit(report.to_jsonable(), cfg)
     return EXIT_OK if report.passed else EXIT_NUMERICAL
-
-
-def _smooth_small(data) -> bool:
-    if data.n > 3:
-        return False
-    alphas = sorted(data.alpha_floats())
-    betas = sorted(data.beta_floats())
-    return all(b - a > 0 for a, b in zip(alphas, betas))
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -392,7 +384,6 @@ def main(argv=None) -> int:
     if cfg.tol is not None and cfg.tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)
         return EXIT_INPUT
-    gammaprod.set_precision(cfg.precision)
     handler = {
         "compute": cmd_compute,
         "verify": cmd_verify,
@@ -400,7 +391,8 @@ def main(argv=None) -> int:
         "oracle": cmd_oracle,
     }[cfg.command]
     try:
-        return handler(cfg)
+        with gammaprod.precision_context(cfg.precision):
+            return handler(cfg)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1,10 +1,18 @@
 """Validation and multiplicity grouping of hypergeometric index tuples.
 
 The two index tuples alpha and beta determine everything downstream: the
-operator, the gamma product, and the matrices.  Indices are kept as exact
-``Fraction`` values whenever they parse as rationals, so that congruence
-mod 1 (which decides resonance and grouping) is tested exactly; decimal
-inputs fall back to a 1e-12 tolerance on fractional parts.
+operator, the gamma product, and the matrices.  Three things depend on
+whether an index difference is an integer: resonance (alpha_i - beta_j),
+the grouping of exponentials, and the zeros of the gamma product that give
+the log terms.  All three are decided exactly, because every stored index
+is an ``int`` or a ``Fraction``.
+
+``raw_exponent_data`` is the one place where indices become exact.  Ints
+and ``Fraction``s are kept as they are.  A float within ``GROUP_TOL`` of
+an earlier index (of either side) plus an integer becomes exactly that
+sum; any other float becomes ``Fraction(x)`` (so ``describe()`` shows a
+float 0.25 as '1/4').  Any other type raises ``TypeError``.  CLI text is
+parsed straight to ``Fraction``.
 """
 
 from __future__ import annotations
@@ -15,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-Index = Union[Fraction, float]
+Index = Union[int, Fraction]
 
-#: absolute tolerance on fractional parts when grouping decimal inputs
+#: a float index this close to an earlier index plus an integer is taken
+#: to be exactly that sum
 GROUP_TOL = 1e-12
 
 
@@ -36,33 +45,25 @@ class ResonantPairError(ValueError):
         )
 
 
-def parse_index(text: str) -> Index:
-    """Parse a single index given as 'p/q', an integer, or a decimal."""
-    text = text.strip()
+def parse_index(text: str) -> Fraction:
+    """Parse one index given as 'p/q', an integer or a decimal; ValueError
+    unless it is a finite number in double range ('inf', 'nan', '1e400')."""
     try:
-        return Fraction(text)
-    except ValueError:
-        pass
-    return float(text)
+        x = Fraction(text)
+        float(x)
+    except (ValueError, OverflowError):
+        raise ValueError(
+            f"index {text!r} is not a finite number in double range"
+        ) from None
+    return x
 
 
-def parse_index_list(text: str) -> tuple[Index, ...]:
+def parse_index_list(text: str) -> tuple[Fraction, ...]:
     """Parse a comma-separated index list such as '0,1/2,-0.25'."""
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError(f"empty index list: {text!r}")
     return tuple(parse_index(p) for p in parts)
-
-
-def _frac_part(x: Index) -> Index:
-    return x - math.floor(x)
-
-
-def _is_integer(x: Index) -> bool:
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    d = x - round(x)
-    return abs(d) <= GROUP_TOL
 
 
 @dataclass(frozen=True)
@@ -142,9 +143,21 @@ class MultiplicityStructure:
                    representatives=None, side=side)
 
 
-def raw_exponent_data(alpha: Sequence[Index],
-                      beta: Sequence[Index]) -> ExponentData:
-    """Build ExponentData without the irreducibility check.
+def _exact_index(x, earlier: Sequence[Index]) -> Index:
+    """x as an int or Fraction, by the rule in the module docstring."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if not isinstance(x, float):
+        raise TypeError(f"index {x!r} is not an int, Fraction or float")
+    for e in earlier:
+        k = round(x - e)
+        if abs(x - e - k) <= GROUP_TOL:
+            return e + k
+    return Fraction(x)
+
+
+def raw_exponent_data(alpha: Sequence, beta: Sequence) -> ExponentData:
+    """Build ExponentData with exact indices, without the irreducibility check.
 
     Kernel-level Fourier identities hold for any real indices; only the
     monodromy and local-basis layers need alpha_i - beta_j never integral.
@@ -155,31 +168,22 @@ def raw_exponent_data(alpha: Sequence[Index],
         raise LengthMismatchError(
             f"need equal nonempty tuples, got {len(alpha)} and {len(beta)}"
         )
-    n = len(alpha)
-    return ExponentData(alpha=alpha, beta=beta, n=n, lam=complex((-1) ** n))
-
-
-def validate_irreducible(alpha: Sequence[Index],
-                         beta: Sequence[Index]) -> ExponentData:
-    """Check lengths and the no-resonance condition alpha_i - beta_j not in Z.
-
-    Exact rational inputs are checked exactly; decimals with tolerance
-    ``GROUP_TOL`` on the fractional part of the difference.
-    """
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    if not alpha or not beta or len(alpha) != len(beta):
-        raise LengthMismatchError(
-            f"need equal nonempty tuples, got {len(alpha)} and {len(beta)}"
-        )
+    exact: list[Index] = []
     for x in (*alpha, *beta):
-        if isinstance(x, complex):
-            raise TypeError("indices must be real (rational or decimal)")
-    for i, a in enumerate(alpha):
-        for j, b in enumerate(beta):
-            if _is_integer(a - b):
+        exact.append(_exact_index(x, exact))
+    n = len(alpha)
+    return ExponentData(alpha=tuple(exact[:n]), beta=tuple(exact[n:]), n=n,
+                        lam=complex((-1) ** n))
+
+
+def validate_irreducible(alpha: Sequence, beta: Sequence) -> ExponentData:
+    """Build ExponentData and check that no alpha_i - beta_j is an integer."""
+    data = raw_exponent_data(alpha, beta)
+    for i, a in enumerate(data.alpha):
+        for j, b in enumerate(data.beta):
+            if (a - b).denominator == 1:
                 raise ResonantPairError(i, j, a, b)
-    return raw_exponent_data(alpha, beta)
+    return data
 
 
 def group_exponents(data: ExponentData, side: str) -> MultiplicityStructure:
@@ -193,31 +197,17 @@ def group_exponents(data: ExponentData, side: str) -> MultiplicityStructure:
         raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
     xs = data.alpha if side == "alpha" else data.beta
 
-    # each group: [fractional key, list of members]
-    groups: list[list] = []
+    # members keyed by their exact fractional part
+    groups: dict[Index, list[Index]] = {}
     for x in xs:
-        f = _frac_part(x)
-        placed = False
-        for g in groups:
-            key = g[0]
-            if isinstance(key, Fraction) and isinstance(f, Fraction):
-                same = key == f
-            else:
-                d = abs(float(key) - float(f))
-                same = min(d, 1.0 - d) <= GROUP_TOL
-            if same:
-                g[1].append(x)
-                placed = True
-                break
-        if not placed:
-            groups.append([f, [x]])
+        groups.setdefault(x - math.floor(x), []).append(x)
 
     pick = min if side == "alpha" else max
-    entries = []
-    for key, members in groups:
-        rep = pick(members)
-        entries.append((rep, len(members), cmath.exp(2j * math.pi * float(key))))
-    entries.sort(key=lambda e: float(e[0]))
+    entries = sorted(
+        ((pick(members), len(members), cmath.exp(2j * math.pi * float(key)))
+         for key, members in groups.items()),
+        key=lambda e: e[0],
+    )
 
     return MultiplicityStructure(
         values=tuple(e[2] for e in entries),

@@ -10,6 +10,11 @@ Reciprocal gamma is scipy.special.rgamma, whose zeros at the non-positive
 integers come out exact; the jets are built from lgamma, gammasgn, psi and
 Hurwitz zeta values.
 
+Indices, and the base point t0 of a jet, are exact (``int`` or
+``Fraction``; see ``exponents``), so the reflection zeros of G(l + t) at
+t = t0 are found by exact integer tests on l + t0 - alpha_i + 1 and
+-l - t0 + beta_i + 1, with no tolerance.
+
 An optional extended-precision mode (about 30 significant digits, via
 mpmath) can be switched on for oracle comparisons that want headroom; the
 results are rounded back to complex128 on return.
@@ -20,7 +25,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.special as sp
@@ -103,8 +107,8 @@ def balanced_gamma(data: ExponentData, s: complex) -> complex:
 def _balanced_mp(data: ExponentData, s0, order: int) -> list:
     """30-digit Taylor coefficients of t -> G(s0 + t) at t = 0.
 
-    ``order = 0`` gives the value alone.  ``s0`` may be complex, float or
-    Fraction; it is converted at the working precision.
+    ``order = 0`` gives the value alone.  ``s0`` is complex or an exact
+    index; it is converted at the working precision.
     """
     import mpmath as mp
 
@@ -127,9 +131,7 @@ def _to_mp(x):
 
     if isinstance(x, complex):
         return mp.mpc(x.real, x.imag)
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    return mp.mpf(x)
+    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
 # --- jets ------------------------------------------------------------------
@@ -151,19 +153,6 @@ class Jet:
         return self.coefficients[0]
 
 
-def _exact_value(x) -> tuple[float, int | None]:
-    """Float value of x plus its integer value when x is exactly integral."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return float(x), int(x)
-        return float(x), None
-    xf = float(x)
-    r = round(xf)
-    if abs(xf - r) <= 1e-9:
-        return xf, r
-    return xf, None
-
-
 def _loggamma_jet_real(x: float, order: int) -> np.ndarray:
     """Taylor jet of log Gamma(x + tau) at real non-pole x.
 
@@ -183,7 +172,8 @@ def _loggamma_jet_real(x: float, order: int) -> np.ndarray:
 
 
 def balanced_gamma_jet(data: ExponentData, t0: Index, order: int, l: int) -> Jet:
-    """Normalized jet of t -> G(l + t) at t = t0.
+    """Normalized jet of t -> G(l + t) at t = t0, an exact index (int or
+    Fraction) such as a group representative.
 
     Assembled in log space: regular reciprocal-gamma factors contribute
     -log Gamma jets built from psi and Hurwitz zeta values (so the
@@ -195,42 +185,35 @@ def balanced_gamma_jet(data: ExponentData, t0: Index, order: int, l: int) -> Jet
     if order < 0:
         raise ValueError("order must be >= 0")
     if get_precision() == "extended":
-        # Fraction(t0) is exact for a float t0, so l + t0 is not rounded
-        coeffs = tj.to_normalized(np.array(_balanced_mp(data, l + Fraction(t0), order)))
+        coeffs = tj.to_normalized(np.array(_balanced_mp(data, l + t0, order)))
         return Jet(t0=float(t0), order=order, coefficients=tuple(coeffs))
 
     flip = np.array([(-1.0) ** q for q in range(order + 1)])
     log_acc = np.zeros(order + 1, dtype=complex)
     zero_jets = []
     for a in data.alpha:
-        x = l + t0 - a + 1 if _same_kind(t0, a) else l + float(t0) - float(a) + 1.0
-        xf, xint = _exact_value(x)
-        if xint is not None and xint <= 0:
+        x = l + t0 - a + 1
+        if x.denominator == 1 and x <= 0:
             # 1/Gamma(m+tau) = (-1)^m sin(pi tau)/pi * Gamma(1-m-tau)
             sj = tj.tsin_pi_over_pi(order)
-            zero_jets.append(sj if xint % 2 == 0 else -sj)
-            log_acc += _loggamma_jet_real(float(1 - xint), order) * flip
+            zero_jets.append(sj if x % 2 == 0 else -sj)
+            log_acc += _loggamma_jet_real(float(1 - x), order) * flip
         else:
-            log_acc -= _loggamma_jet_real(xf, order)
+            log_acc -= _loggamma_jet_real(float(x), order)
     for b in data.beta:
-        y = -l - t0 + b + 1 if _same_kind(t0, b) else -l - float(t0) + float(b) + 1.0
-        yf, yint = _exact_value(y)
-        if yint is not None and yint <= 0:
+        y = -l - t0 + b + 1
+        if y.denominator == 1 and y <= 0:
             # 1/Gamma(m-tau) = -(-1)^m sin(pi tau)/pi * Gamma(1-m+tau)
             sj = tj.tsin_pi_over_pi(order)
-            zero_jets.append(-sj if yint % 2 == 0 else sj)
-            log_acc += _loggamma_jet_real(float(1 - yint), order)
+            zero_jets.append(-sj if y % 2 == 0 else sj)
+            log_acc += _loggamma_jet_real(float(1 - y), order)
         else:
-            log_acc -= _loggamma_jet_real(yf, order) * flip
+            log_acc -= _loggamma_jet_real(float(y), order) * flip
     acc = tj.texp(log_acc)
     for zj in zero_jets:
         acc = tj.tmul(acc, zj)
     coeffs = tj.to_normalized(acc)
     return Jet(t0=float(t0), order=order, coefficients=tuple(coeffs))
-
-
-def _same_kind(a, b) -> bool:
-    return isinstance(a, Fraction) and isinstance(b, Fraction)
 
 
 # --- identities and growth -------------------------------------------------

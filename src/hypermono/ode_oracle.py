@@ -31,7 +31,7 @@ import numpy as np
 
 from .exponents import ExponentData, group_exponents
 from .local_solutions import SolutionSeries, build_basis, eval_derivatives
-from .matrices import ComplexMatrix, char_poly
+from .matrices import ComplexMatrix, char_poly, poly_from_roots
 from .report import VerificationReport
 
 __all__ = [
@@ -89,17 +89,10 @@ class OdeSystem:
         return N / z
 
 
-def _poly_from_roots_ascending(roots) -> np.ndarray:
-    coeffs = np.array([1.0 + 0.0j])
-    for r in roots:
-        coeffs = np.convolve(coeffs, np.array([1.0, -complex(r)]))
-    return coeffs[::-1].copy()  # ascending in D
-
-
 def companion_system(data: ExponentData) -> OdeSystem:
     """Expand the D-polynomials into the companion-form system."""
-    a = _poly_from_roots_ascending(data.alpha_floats())
-    b = _poly_from_roots_ascending(data.beta_floats())
+    a = poly_from_roots(data.alpha_floats(), [1] * data.n)[::-1]  # ascending in D
+    b = poly_from_roots(data.beta_floats(), [1] * data.n)[::-1]
     return OdeSystem(data=data, a_coeffs=a, b_coeffs=b, lam=data.lam)
 
 

@@ -62,6 +62,17 @@ def test_resonant_input_exits_2(capsys):
     assert "integer" in err
 
 
+def test_index_outside_double_range_exits_2(capsys):
+    for text in ("inf", "-inf", "nan", "1e400"):
+        for argv in (["compute", "--alpha", text, "--beta", "1/2"],
+                     ["eval", "--what", "gamma", "--alpha", text, "--beta", "0",
+                      "--s", "0.5"]):
+            code, out, err = run(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert repr(text) in err
+
+
 def test_verify_cyclic_raw_values(capsys):
     code, out, _ = run(["verify", "--checks", "cyclic", "--A", "2,3", "--l", "1"], capsys)
     assert code == 0
@@ -144,13 +155,22 @@ def test_oracle_command(capsys):
 def test_env_precision(monkeypatch, capsys):
     import hypermono.gammaprod as gp
 
+    modes = []
+    balanced_mp = gp._balanced_mp
+
+    def spy(*args):
+        modes.append(gp.get_precision())
+        return balanced_mp(*args)
+
+    monkeypatch.setattr(gp, "_balanced_mp", spy)
     monkeypatch.setenv("HYPERMONO_PRECISION", "extended")
     code, out, _ = run(
         ["eval", "--what", "gamma", "--alpha", "0", "--beta", "0", "--s", "0.5"], capsys
     )
     assert code == 0
-    assert gp.get_precision() == "extended"
-    gp.set_precision("double")
+    # the 30-digit path ran, and main restored the mode on return
+    assert modes == ["extended"]
+    assert gp.get_precision() == "double"
     payload = json.loads(out)
     assert payload["rows"][0][1] == pytest.approx(2 / np.pi, rel=1e-12)
 

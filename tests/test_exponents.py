@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermono.exponents import (
+    GROUP_TOL,
     LengthMismatchError,
     MultiplicityStructure,
     ResonantPairError,
@@ -145,6 +146,37 @@ def test_integer_shift_keeps_structure(alphas, which):
         assert m1 == m2
         # raising one member can only raise (or keep) each group's minimum
         assert r2 >= r1
+
+
+def _resonance(alpha, beta):
+    try:
+        validate_irreducible(alpha, beta)
+    except ResonantPairError as exc:
+        return exc.i, exc.j
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12),
+                min_size=1, max_size=3, unique=True),
+       st.data())
+def test_near_rational_floats_decide_like_the_rationals(classes, draw):
+    # each float lies within GROUP_TOL / 2 of a rational plus an integer
+    n = draw.draw(st.integers(min_value=1, max_value=4))
+    member = st.tuples(st.sampled_from(classes), st.integers(-2, 2),
+                       st.floats(-0.4 * GROUP_TOL, 0.4 * GROUP_TOL))
+    sides = [draw.draw(st.lists(member, min_size=n, max_size=n)) for _ in range(2)]
+    exact = [tuple(c + k for c, k, _ in side) for side in sides]
+    blurred = [tuple(float(c + k) + e for c, k, e in side) for side in sides]
+
+    assert _resonance(*exact) == _resonance(*blurred)
+    d_exact, d_blurred = raw_exponent_data(*exact), raw_exponent_data(*blurred)
+    for side in ("alpha", "beta"):
+        ms, ms_b = group_exponents(d_exact, side), group_exponents(d_blurred, side)
+        assert ms.multiplicities == ms_b.multiplicities
+        assert np.allclose(ms.values, ms_b.values, rtol=0, atol=1e-9)
+        for r, r_b in zip(ms.representatives, ms_b.representatives):
+            assert abs(r - r_b) <= GROUP_TOL
 
 
 def test_group_rejects_bad_side():

@@ -16,6 +16,7 @@ from hypermono.gammaprod import (
     reciprocal_gamma,
     stirling_bound_check,
 )
+from hypermono.local_solutions import build_basis
 
 mp.mp.dps = 40
 
@@ -117,6 +118,17 @@ def test_jet_first_coefficient_finite_difference():
     h = 1e-5
     fd = (balanced_gamma(d, h) - balanced_gamma(d, -h)) / (2 * h) / (2j * math.pi)
     assert jet.coefficients[1] == pytest.approx(fd, rel=1e-8)
+
+
+def test_int_indices_give_the_fraction_jets():
+    d_int = validate_irreducible((0, 1), (F(1, 3), F(2, 5)))
+    d_frac = validate_irreducible((F(0), F(1)), (F(1, 3), F(2, 5)))
+    for side in ("zero", "infinity"):
+        for s_int, s_frac in zip(build_basis(d_int, side, N=30),
+                                 build_basis(d_frac, side, N=30)):
+            assert s_int.representative == s_frac.representative
+            for j_int, j_frac in zip(s_int.jets, s_frac.jets):
+                assert j_int.coefficients == j_frac.coefficients
 
 
 @pytest.mark.parametrize("l", [0, 7, 60, 200, -4, -60, -200])
