@@ -11,8 +11,14 @@ solution basis.  When some Re(beta_i - alpha_i) <= 0 the kernel is only a
 distribution; the shift reduction trades it for a smooth kernel with
 beta + m and a polynomial differential operator R.
 
-Quadrature uses Gauss-Legendre panels in a tanh-regularized variable,
-which absorbs the algebraic endpoint behavior of the factors.
+Every integral, at every level of the nested convolutions and in the
+Fourier check, uses one double-exponential (tanh-sinh) rule (Takahashi &
+Mori 1974): x = tanh(pi/2 sinh t) maps the whole t-axis onto (-1, 1), and
+its weights decay doubly exponentially toward both ends, so the trapezoid
+rule in t absorbs the algebraic endpoint behavior (1/2 -+ phi)^(beta_i -
+alpha_i) of the factors without knowing the exponents.  Each level
+compares a coarse and a fine step and raises QuadratureError when they
+disagree beyond the tolerance.
 """
 
 from __future__ import annotations
@@ -55,10 +61,10 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureParams:
-    points: int = 12          # Gauss-Legendre nodes per panel
-    refine_points: int = 18   # nodes for the error-estimate pass
-    panel: float = 1.0        # panel width in the regularized variable
-    vmax: float = 14.0        # truncation of the regularized variable
+    points: int = 12          # trapezoid nodes per unit panel of t (coarse step)
+    refine_points: int = 18   # nodes per panel for the fine pass
+    panel: float = 1.0        # panel width in t; the step is panel / points
+    vmax: float = 3.6         # truncation |t| <= vmax of the double-exponential variable
     tol: float = 1e-8         # acceptable disagreement between passes
 
 
@@ -71,26 +77,26 @@ class CircleSample:
     values: tuple[complex, ...]
 
 
-@lru_cache(maxsize=16)
-def _gl(npts: int):
-    return np.polynomial.legendre.leggauss(npts)
-
-
 @lru_cache(maxsize=64)
 def _endpoint_rule(npts: int, panel: float, vmax: float):
-    """Nodes/weights of the tanh-regularized composite rule on (-1, 1)."""
-    gn, gw = _gl(npts)
-    edges = np.linspace(-vmax, vmax, max(2, int(round(2 * vmax / panel)) + 1))
-    vs = []
-    ws = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        c = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        vs.append(c + h * gn)
-        ws.append(h * gw)
-    v = np.concatenate(vs)
-    w = np.concatenate(ws)
-    return np.tanh(v), w / np.cosh(v) ** 2
+    """Nodes/weights of the double-exponential rule on (-1, 1).
+
+    x = tanh(pi/2 sinh t), summed by the trapezoid rule in t with step
+    panel / npts over |t| <= vmax.  Nodes that round to +-1 carry weights
+    below 1e-16 and are dropped, so every node is interior.
+    """
+    step = panel / npts
+    t = step * np.arange(1, int(vmax / step) + 1)
+    y = 0.5 * math.pi * np.sinh(t)
+    x = np.tanh(y)
+    # sech^2(y) through e^(-2y), which cannot overflow
+    e = np.exp(-2.0 * y)
+    w = step * 0.5 * math.pi * np.cosh(t) * 4.0 * e / (1.0 + e) ** 2
+    keep = x < 1.0
+    x, w = x[keep], w[keep]
+    # mirrored exactly, so x[::-1] == -x
+    return (np.concatenate([-x[::-1], [0.0], x]),
+            np.concatenate([w[::-1], [step * 0.5 * math.pi], w]))
 
 
 def endpoint_nodes(a: float, b: float, quad: QuadratureParams):
@@ -109,8 +115,8 @@ def endpoint_nodes(a: float, b: float, quad: QuadratureParams):
 def quad_endpoint(f, a: float, b: float, quad: QuadratureParams) -> complex:
     """Integrate f over (a, b) with endpoint-clustered nodes.
 
-    Substitutes u = mid + half*tanh(v) and applies composite
-    Gauss-Legendre in v; f must accept an ndarray of interior points.
+    Substitutes u = mid + half*tanh(pi/2 sinh t) and applies the
+    trapezoid rule in t; f must accept an ndarray of interior points.
     Raises QuadratureError when the refinement pass moves the result by
     more than quad.tol.
     """
@@ -204,6 +210,12 @@ def _conv2_batch(pair1, pair2, ws, quad: QuadratureParams,
     The u-interval is (max(-1/2, w-1/2), min(1/2, w+1/2)); its endpoints
     are where one factor leaves its support, so the integrand is smooth
     inside for every w and the whole batch shares one endpoint rule.
+    Both factors lie inside their supports there, so their product is
+    exp(g1 log B1 + g2 log B2 + i theta) times the two reciprocal gammas
+    (B the 2 cos(pi phi) bases, theta the phases of :func:`h_single`).
+    The interval's midpoint is w/2, so on the mirrored rule B2 is B1 at
+    the mirrored node, and the part of theta that is the same at every
+    node leaves the sum.
     With ``check`` off only the fine pass runs (the nested triple
     convolution does its own coarse/fine comparison one level up).
     """
@@ -212,20 +224,27 @@ def _conv2_batch(pair1, pair2, ws, quad: QuadratureParams,
     lo = np.maximum(-0.5, ws - 0.5)
     hi = np.minimum(0.5, ws + 0.5)
     sel = np.flatnonzero(hi - lo > 1e-15)
-    a1, b1 = pair1
-    a2, b2 = pair2
+    a1, b1 = (float(v) for v in pair1)
+    a2, b2 = (float(v) for v in pair2)
+    g1, g2 = b1 - a1, b2 - a2
+    c1, c2 = math.pi * (a1 + b1), math.pi * (a2 + b2)
+    scale = reciprocal_gamma(g1 + 1.0) * reciprocal_gamma(g2 + 1.0)
     rules = (quad.points, quad.refine_points) if check else (quad.refine_points,)
     for start in range(0, len(sel), _CHUNK):
         idx = sel[start:start + _CHUNK]
-        mid = 0.5 * (lo[idx] + hi[idx])
+        mid = 0.5 * ws[idx]
         half = 0.5 * (hi[idx] - lo[idx])
-        wsub = ws[idx]
         passes = []
         for npts in rules:
             x, w = _endpoint_rule(npts, quad.panel, quad.vmax)
-            U = mid[:, None] + half[:, None] * x[None, :]
-            vals = h_single(a1, b1, U) * h_single(a2, b2, wsub[:, None] - U)
-            passes.append(np.sum(half[:, None] * w[None, :] * vals, axis=1))
+            hx = half[:, None] * x[None, :]
+            with np.errstate(divide="ignore"):
+                logb = np.log(np.maximum(2.0 * np.cos(math.pi * (mid[:, None] + hx)), 0.0))
+            # w - u = mid - half*x is u at the mirrored node
+            mag = np.exp(g1 * logb + g2 * logb[:, ::-1])
+            phase = (c1 - c2) * hx
+            total = (mag * np.cos(phase)) @ w + 1j * ((mag * np.sin(phase)) @ w)
+            passes.append(scale * half * np.exp(1j * (c1 + c2) * mid) * total)
         if check:
             err = float(np.max(np.abs(passes[0] - passes[1])))
             if err > quad.tol:
@@ -236,12 +255,6 @@ def _conv2_batch(pair1, pair2, ws, quad: QuadratureParams,
     return out
 
 
-def _inner_quad(quad: QuadratureParams) -> QuadratureParams:
-    # the inner convolution is not oscillatory; wider panels suffice
-    return QuadratureParams(points=12, refine_points=16, panel=2.0,
-                            vmax=12.0, tol=max(quad.tol, 1e-8))
-
-
 def _conv3_batch(pairs, phis, quad: QuadratureParams) -> np.ndarray:
     """Triple-factor kernel on an array of phi, by nested tensor quadrature.
 
@@ -249,6 +262,8 @@ def _conv3_batch(pairs, phis, quad: QuadratureParams) -> np.ndarray:
     one interior kink u = phi - round(phi) where the inner two-factor
     convolution crosses a breakpoint; both split points are affine in
     phi, so each of the two sub-segments batches across the whole array.
+    The outer level runs the coarse and the fine step of ``quad``; the
+    inner two-factor level runs its fine step only.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float)).ravel()
     out = np.zeros(phis.shape, dtype=complex)
@@ -258,37 +273,33 @@ def _conv3_batch(pairs, phis, quad: QuadratureParams) -> np.ndarray:
     if len(sel) == 0:
         return out
     a1, b1 = pairs[0]
-    inner = _inner_quad(quad)
 
     # interior kinks of u -> g23(phi - u) at u = phi - w, w in {-1, 0, 1}
     cut = phis[sel] - np.round(phis[sel])
     cut = np.clip(cut, lo[sel], hi[sel])
     edges = (lo[sel], cut, hi[sel])
 
-    total_c = np.zeros(len(sel), dtype=complex)
-    total_f = np.zeros(len(sel), dtype=complex)
-    for seg in range(2):
-        a_edge, b_edge = edges[seg], edges[seg + 1]
-        width = b_edge - a_edge
-        live = width > 1e-15
-        mid = 0.5 * (a_edge + b_edge)
-        half = 0.5 * width
-        for pass_idx, npts in enumerate((inner.points, inner.refine_points)):
-            x, w = _endpoint_rule(npts, inner.panel, inner.vmax)
+    totals = []
+    for npts in (quad.points, quad.refine_points):
+        x, w = _endpoint_rule(npts, quad.panel, quad.vmax)
+        total = np.zeros(len(sel), dtype=complex)
+        for seg in range(2):
+            a_edge, b_edge = edges[seg], edges[seg + 1]
+            width = b_edge - a_edge
+            live = width > 1e-15
+            mid = 0.5 * (a_edge + b_edge)
+            half = 0.5 * width
             U = mid[:, None] + half[:, None] * x[None, :]
             W = phis[sel][:, None] - U
-            g23 = _conv2_batch(pairs[1], pairs[2], W.ravel(), inner,
+            g23 = _conv2_batch(pairs[1], pairs[2], W.ravel(), quad,
                                check=False).reshape(W.shape)
             vals = h_single(a1, b1, U) * g23
-            sums = np.where(live, np.sum(half[:, None] * w[None, :] * vals, axis=1), 0.0)
-            if pass_idx == 0:
-                total_c += sums
-            else:
-                total_f += sums
-    err = float(np.max(np.abs(total_c - total_f)))
+            total += np.where(live, half * (vals @ w), 0.0)
+        totals.append(total)
+    err = float(np.max(np.abs(totals[0] - totals[1])))
     if err > quad.tol:
         raise QuadratureError(f"quadrature disagreement {err:.3e} > {quad.tol:.1e}")
-    out[sel] = total_f
+    out[sel] = totals[1]
     return out
 
 

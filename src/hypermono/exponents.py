@@ -47,14 +47,33 @@ class ResonantPairError(ValueError):
 
 def parse_index(text: str) -> Fraction:
     """Parse one index given as 'p/q', an integer or a decimal; ValueError
-    unless it is a finite number in double range ('inf', 'nan', '1e400')."""
+    unless it is a finite number in double range ('inf', 'nan', '1e400',
+    '1/0').
+
+    Decimal text is range-checked through its float before the exact
+    ``Fraction`` is built: ``Fraction('1e-10000000')`` alone takes seconds
+    and carries a 33-million-bit denominator.  A nonzero value whose float
+    underflows to 0 is out of range too; a zero mantissa is 0 at any
+    exponent.
+    """
+    bad = ValueError(f"index {text!r} is not a finite number in double range")
+    try:
+        approx = float(text)
+    except ValueError:
+        approx = 1.0  # not decimal text ('p/q'); Fraction decides below
+    if not math.isfinite(approx):
+        raise bad
+    if approx == 0.0:
+        mantissa = text.lower().partition("e")[0]
+        if any(c in "123456789" for c in mantissa):
+            raise bad
+        text = mantissa
     try:
         x = Fraction(text)
-        float(x)
-    except (ValueError, OverflowError):
-        raise ValueError(
-            f"index {text!r} is not a finite number in double range"
-        ) from None
+        if x and float(x) == 0.0:
+            raise bad
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise bad from None
     return x
 
 

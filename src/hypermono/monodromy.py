@@ -221,11 +221,11 @@ def replication_identity_check(data: ExponentData, l: int | None = None,
             raise ValueError(f"phi={phi} outside the branch window ({lo}, {hi})")
 
     if n <= 3:
-        # f_k(phi) = h(phi - l + k), shared between the two sides
-        fk = {
-            phi: np.array([h_convolution(data, phi - l + k, quad) for k in range(n)])
-            for phi in phis
-        }
+        # f_k(phi) = h(phi - l + k), shared between the two sides; one
+        # kernel call over every (phi, k) point
+        pts = np.array([[phi - l + k for k in range(n)] for phi in phis], dtype=float)
+        vals = h_convolution(data, pts.ravel(), quad).reshape(pts.shape)
+        fk = dict(zip(phis, vals))
         independent = True
     else:
         basis_a = build_basis(data, "zero")

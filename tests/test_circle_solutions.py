@@ -251,3 +251,73 @@ def test_ft_rejects_nonsmooth():
     data = validate_irreducible((F(0),), (F(-1, 2),))
     with pytest.raises(PreconditionError):
         ft_residual(data, 0.0)
+
+
+def _h_mp_factor(a, b):
+    """mpmath h_single(a, b, .) with its constants taken once."""
+    a, b = mp.mpf(str(a)), mp.mpf(str(b))
+    g = b - a
+    c = 1 / mp.gamma(g + 1)
+
+    def h(u):
+        if abs(u) >= mp.mpf(1) / 2:
+            return mp.mpc(0)
+        return c * mp.expjpi((a + b) * u) * (2 * mp.cospi(u)) ** g
+
+    return h
+
+
+# every gap beta_i - alpha_i is 1/8: the factors vanish like (1/2 -+ u)^(1/8)
+_GAP_EIGHTH = ((F(0), F(1, 3), F(2, 3)), (F(1, 8), F(11, 24), F(19, 24)))
+
+
+def test_conv2_near_kinks_against_mpmath():
+    data = validate_irreducible(_GAP_EIGHTH[0][:2], _GAP_EIGHTH[1][:2])
+    h1, h2 = _h_mp_factor(0, "1/8"), _h_mp_factor("1/3", "11/24")
+    half = mp.mpf(1) / 2
+    for w in (5e-4, -5e-4, 1 - 5e-4, -1 + 5e-4):
+        mine = h_convolution(data, w)
+        with mp.workdps(20):
+            wm = mp.mpf(w)
+            ref = mp.quad(lambda u: h1(u) * h2(wm - u),
+                          [max(-half, wm - half), min(half, wm + half)])
+        assert abs(mine - complex(ref)) <= 1e-9 * abs(complex(ref))
+
+
+def test_conv3_near_kinks_against_mpmath():
+    data = validate_irreducible(*_GAP_EIGHTH)
+    h1, h2, h3 = (_h_mp_factor(a, b) for a, b in zip(*_GAP_EIGHTH))
+    half = mp.mpf(1) / 2
+
+    def g23(w):
+        lo, hi = max(-half, w - half), min(half, w + half)
+        return mp.quad(lambda v: h2(v) * h3(w - v), [lo, hi]) if hi > lo else 0
+
+    for phi in (5e-4, 1 - 5e-4, -1 + 5e-4):
+        mine = h_convolution(data, phi)
+        with mp.workdps(12):
+            pm = mp.mpf(phi)
+            kinks = {c for c in (pm - 1, pm, pm + 1) if -half < c < half}
+            ref = mp.quad(lambda u: h1(u) * g23(pm - u), sorted({-half, half} | kinks))
+        assert abs(mine - complex(ref)) <= 1e-9 * abs(complex(ref))
+
+
+def test_conv3_detects_disagreement():
+    from hypermono.circle_solutions import _conv3_batch
+
+    quad = QuadratureParams(points=2, refine_points=18, panel=4.0, vmax=8.0, tol=1e-12)
+    pairs = list(zip(*_GAP_EIGHTH))
+    with pytest.raises(QuadratureError):
+        _conv3_batch([(float(a), float(b)) for a, b in pairs], np.array([0.3]), quad)
+
+
+@pytest.mark.parametrize("npts, panel, vmax", [(12, 1.0, 3.6), (18, 1.0, 3.6), (2, 4.0, 8.0)])
+def test_endpoint_rule_is_interior_and_mirrored(npts, panel, vmax):
+    # _conv2_batch reads the second factor off the mirrored node
+    from hypermono.circle_solutions import _endpoint_rule
+
+    x, w = _endpoint_rule(npts, panel, vmax)
+    assert np.all(np.abs(x) < 1.0) and np.all(w > 0)
+    assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+    if npts >= 12:
+        assert abs(np.sum(w) - 2.0) <= 1e-14

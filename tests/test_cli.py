@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -220,3 +221,26 @@ def test_mismatched_basis_is_an_input_error(capsys, monkeypatch):
                         "--beta", "1/8,3/8,5/8,7/8", "--k", "2", "--phi", "0.25"], capsys)
     assert code == 2
     assert "needs the 'zero' basis" in err
+
+
+def test_tiny_index_exits_2_fast(capsys):
+    # out-of-range text is refused before any long exact arithmetic
+    for text in ("1e-10000000", "1e-400", "1/1" + "0" * 400):
+        start = time.perf_counter()
+        code, out, err = run(["compute", "--alpha", text, "--beta", "1/2"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert repr(text) in err
+
+
+def test_in_range_index_text_parses_exactly():
+    from fractions import Fraction
+
+    from hypermono.exponents import parse_index
+
+    for text in ("1/3", "-0.25", " 7 ", "1e-300", "3e-324", "2.5e10", "1_000"):
+        assert parse_index(text) == Fraction(text)
+    assert parse_index("0e-10000000") == 0
+    with pytest.raises(ValueError):
+        parse_index("1/0")

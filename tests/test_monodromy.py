@@ -246,3 +246,44 @@ def test_f_piece_n4_matches_pointwise_circle_values():
     sample = f_piece(data, k, grid)
     expect = [circle_basis_values(data, p, l=k)[k] for p in grid]
     assert np.array_equal(np.array(sample.values), np.array(expect))
+
+
+_SMOOTH_N2_N3 = [
+    ((F(0), F(1, 2)), (F(1, 4), F(3, 4))),
+    ((F(0), F(1, 3), F(2, 3)), (F(1, 4), F(1, 2), F(3, 4))),
+]
+
+
+@pytest.mark.parametrize("alpha, beta", _SMOOTH_N2_N3)
+def test_replication_kernel_values_in_one_call(monkeypatch, alpha, beta):
+    # the batched kernel values equal the per-point calls they replace
+    from hypermono import monodromy
+    from hypermono.circle_solutions import h_convolution
+
+    data = validate_irreducible(alpha, beta)
+    calls = []
+
+    def spy(data_, phi, quad=None):
+        vals = h_convolution(data_, phi, quad)
+        calls.append((np.array(phi, dtype=float), vals))
+        return vals
+
+    monkeypatch.setattr(monodromy, "h_convolution", spy)
+    report = replication_identity_check(data, sides=("A",))
+    assert report.passed, report.to_jsonable()
+    assert len(calls) == 1
+    pts, vals = calls[0]
+    assert pts.size == 5 * data.n
+    for p, v in zip(pts, vals):
+        ref = h_convolution(data, float(p))
+        assert abs(v - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha, beta", _SMOOTH_N2_N3)
+def test_replication_under_resolved_quadrature_raises(alpha, beta):
+    from hypermono.circle_solutions import QuadratureError, QuadratureParams
+
+    data = validate_irreducible(alpha, beta)
+    quad = QuadratureParams(points=2, refine_points=18, panel=4.0, vmax=8.0, tol=1e-12)
+    with pytest.raises(QuadratureError):
+        replication_identity_check(data, quad=quad)
