@@ -1,8 +1,10 @@
 """Truncated Taylor (jet) arithmetic on plain coefficient arrays.
 
 Coefficients are ordinary Taylor coefficients a_k of sum a_k tau**k,
-stored as 1-d complex ndarrays of length order+1.  Conversion to the
-normalized (d/(2 pi i dt))**r convention happens at module boundaries.
+stored along the last axis of complex ndarrays of shape (..., order+1),
+so one call works on a single jet or on a whole table of them row by
+row.  Conversion to the normalized (d/(2 pi i dt))**r convention happens
+at module boundaries.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ def tlinear(c0, c1, order: int) -> np.ndarray:
 
 
 def tmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    order = len(a) - 1
-    out = np.zeros(order + 1, dtype=complex)
+    """Product of jets, broadcast over the leading axes."""
+    a, b = np.asarray(a), np.asarray(b)
+    order = a.shape[-1] - 1
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     for k in range(order + 1):
-        out[k] = np.dot(a[: k + 1], b[k::-1])
+        out[..., k] = np.sum(a[..., : k + 1] * b[..., k::-1], axis=-1)
     return out
 
 
@@ -45,14 +49,13 @@ def tpow_int(a: np.ndarray, k: int) -> np.ndarray:
 
 def texp(a: np.ndarray) -> np.ndarray:
     """exp of a jet; uses g' = a' g so no series truncation error."""
-    order = len(a) - 1
-    out = np.zeros(order + 1, dtype=complex)
-    out[0] = np.exp(a[0])
+    a = np.asarray(a)
+    order = a.shape[-1] - 1
+    out = np.zeros(a.shape, dtype=complex)
+    out[..., 0] = np.exp(a[..., 0])
+    j = np.arange(1, order + 1)
     for k in range(1, order + 1):
-        acc = 0.0 + 0.0j
-        for j in range(1, k + 1):
-            acc += j * a[j] * out[k - j]
-        out[k] = acc / k
+        out[..., k] = np.sum(j[:k] * a[..., 1 : k + 1] * out[..., k - 1 :: -1], axis=-1) / k
     return out
 
 
@@ -67,7 +70,7 @@ def tsin_pi_over_pi(order: int) -> np.ndarray:
 
 def to_normalized(taylor: np.ndarray) -> np.ndarray:
     """Taylor a_r  ->  normalized c_r = r! a_r / (2 pi i)**r."""
-    order = len(taylor) - 1
+    order = np.shape(taylor)[-1] - 1
     scale = np.array(
         [math.factorial(r) / (2j * math.pi) ** r for r in range(order + 1)],
         dtype=complex,
@@ -76,7 +79,7 @@ def to_normalized(taylor: np.ndarray) -> np.ndarray:
 
 
 def from_normalized(coeffs: np.ndarray) -> np.ndarray:
-    order = len(coeffs) - 1
+    order = np.shape(coeffs)[-1] - 1
     scale = np.array(
         [(2j * math.pi) ** r / math.factorial(r) for r in range(order + 1)],
         dtype=complex,

@@ -138,10 +138,6 @@ class MultiplicityStructure:
     def n(self) -> int:
         return sum(self.multiplicities)
 
-    @property
-    def n_values(self) -> int:
-        return len(self.values)
-
     def pair_indices(self) -> tuple[tuple[int, int], ...]:
         """(j, r) row labels, j 1-based, r = 0..m_j-1, in matrix order."""
         out = []

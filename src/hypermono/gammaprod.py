@@ -7,13 +7,17 @@ The balanced product
 is entire, and its Taylor jets in the shift parameter t (normalized by
 powers of 2*pi*i) supply the coefficients of every local solution series.
 Reciprocal gamma is scipy.special.rgamma, whose zeros at the non-positive
-integers come out exact; the jets are built from lgamma, gammasgn, psi and
-Hurwitz zeta values.
+integers come out exact.  The jets come as one (L, order+1) table for a
+whole range of integer shifts l (``balanced_gamma_jets``; a single jet is
+its one-row case), built from broadcast gammaln, gammasgn, psi and Hurwitz
+zeta values and row-wise jet arithmetic in log space.  The growth check
+along the imaginary axis is summed from log-gamma values as well.
 
 Indices, and the base point t0 of a jet, are exact (``int`` or
 ``Fraction``; see ``exponents``), so the reflection zeros of G(l + t) at
 t = t0 are found by exact integer tests on l + t0 - alpha_i + 1 and
--l - t0 + beta_i + 1, with no tolerance.
+-l - t0 + beta_i + 1, with no tolerance: whether a factor's offset is an
+integer is decided once, and its zeros are then an integer range of l.
 
 An optional extended-precision mode (about 30 significant digits, via
 mpmath) can be switched on for oracle comparisons that want headroom; the
@@ -39,6 +43,7 @@ __all__ = [
     "gamma",
     "balanced_gamma",
     "balanced_gamma_jet",
+    "balanced_gamma_jets",
     "gamma_identity_residual",
     "stirling_bound_check",
     "pw_growth_check",
@@ -153,67 +158,79 @@ class Jet:
         return self.coefficients[0]
 
 
-def _loggamma_jet_real(x: float, order: int) -> np.ndarray:
-    """Taylor jet of log Gamma(x + tau) at real non-pole x.
+def _loggamma_jets(x: np.ndarray, order: int) -> np.ndarray:
+    """Taylor jets of log Gamma(x + tau) at real non-pole x, one per entry.
 
-    The constant term is a complex log: magnitude from lgamma, imaginary
-    part pi when Gamma(x) < 0, so that exponentiating restores the sign.
+    The result has shape x.shape + (order+1,).  The constant term is a
+    complex log: magnitude from gammaln, imaginary part pi where
+    Gamma(x) < 0, so that exponentiating restores the sign.
     """
-    out = np.zeros(order + 1, dtype=complex)
-    mag = math.lgamma(x)
-    out[0] = mag if sp.gammasgn(x) > 0 else complex(mag, math.pi)
+    out = np.empty(x.shape + (order + 1,), dtype=complex)
+    out[..., 0] = sp.gammaln(x) + 1j * np.pi * (sp.gammasgn(x) < 0)
     if order >= 1:
-        out[1] = sp.psi(x)
+        out[..., 1] = sp.psi(x)
     if order >= 2:
         # psi^(k)(x)/(k+1)! = (-1)^(k+1) zeta(k+1, x)/(k+1) for k >= 1
         k1 = np.arange(2.0, order + 1.0)
-        out[2:] = (-1.0) ** k1 * sp.zeta(k1, x) / k1
+        out[..., 2:] = (-1.0) ** k1 * sp.zeta(k1, x[..., None]) / k1
     return out
 
 
-def balanced_gamma_jet(data: ExponentData, t0: Index, order: int, l: int) -> Jet:
-    """Normalized jet of t -> G(l + t) at t = t0, an exact index (int or
+def balanced_gamma_jets(data: ExponentData, t0: Index, order: int, shifts) -> np.ndarray:
+    """Normalized jets of t -> G(l + t) at t = t0 for each integer l in
+    ``shifts``, as an (L, order+1) table; t0 is an exact index (int or
     Fraction) such as a group representative.
 
-    Assembled in log space: regular reciprocal-gamma factors contribute
-    -log Gamma jets built from psi and Hurwitz zeta values (so the
+    Factor f is 1/Gamma(x_f) with x_f = l + t0 - a + 1 (alpha side) or
+    -l - t0 + b + 1 (beta side).  Whether its offset is an integer is
+    decided once per factor, exactly; the reflection zeros are then the
+    integer range of l where x_f <= 0.  The table is assembled in log
+    space from one broadcast gammaln, psi and Hurwitz zeta call over all
+    factors and rows: regular factors contribute -log Gamma jets (so the
     magnitudes of the 2n factors, which individually overflow double range
-    for |l| in the hundreds, cancel before exponentiation), while factors
-    sitting at a zero contribute an exact sin(pi tau)/pi jet times a log
-    Gamma jet via the reflection formula.  No finite differences anywhere.
+    for |l| in the hundreds, cancel before exponentiation), while a factor
+    at a zero contributes an exact sin(pi tau)/pi jet times a log Gamma
+    jet via the reflection formula.  No finite differences anywhere.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    ls = np.asarray(shifts, dtype=np.int64)
     if get_precision() == "extended":
-        coeffs = tj.to_normalized(np.array(_balanced_mp(data, l + t0, order)))
-        return Jet(t0=float(t0), order=order, coefficients=tuple(coeffs))
+        rows = [_balanced_mp(data, int(l) + t0, order) for l in ls]
+        return tj.to_normalized(np.array(rows, dtype=complex).reshape(len(ls), order + 1))
 
-    flip = np.array([(-1.0) ** q for q in range(order + 1)])
-    log_acc = np.zeros(order + 1, dtype=complex)
-    zero_jets = []
-    for a in data.alpha:
-        x = l + t0 - a + 1
-        if x.denominator == 1 and x <= 0:
-            # 1/Gamma(m+tau) = (-1)^m sin(pi tau)/pi * Gamma(1-m-tau)
-            sj = tj.tsin_pi_over_pi(order)
-            zero_jets.append(sj if x % 2 == 0 else -sj)
-            log_acc += _loggamma_jet_real(float(1 - x), order) * flip
-        else:
-            log_acc -= _loggamma_jet_real(float(x), order)
-    for b in data.beta:
-        y = -l - t0 + b + 1
-        if y.denominator == 1 and y <= 0:
-            # 1/Gamma(m-tau) = -(-1)^m sin(pi tau)/pi * Gamma(1-m+tau)
-            sj = tj.tsin_pi_over_pi(order)
-            zero_jets.append(-sj if y % 2 == 0 else sj)
-            log_acc += _loggamma_jet_real(float(1 - y), order)
-        else:
-            log_acc -= _loggamma_jet_real(float(y), order) * flip
-    acc = tj.texp(log_acc)
-    for zj in zero_jets:
-        acc = tj.tmul(acc, zj)
-    coeffs = tj.to_normalized(acc)
-    return Jet(t0=float(t0), order=order, coefficients=tuple(coeffs))
+    n = data.n
+    sides = np.array([1] * n + [-1] * n)
+    offsets = [t0 - a + 1 for a in data.alpha] + [b - t0 + 1 for b in data.beta]
+    # x_f = m_f + frac_f with m_f = sides_f l + whole_f an integer and
+    # |frac_f| <= 1/2: the zero test is exact, and an offset just off an
+    # integer keeps its fractional part rather than rounding onto a pole
+    whole = [round(c) for c in offsets]
+    frac = np.array([float(c - k) for c, k in zip(offsets, whole)])
+    integral = np.array([c == k for c, k in zip(offsets, whole)])
+    m = sides[:, None] * ls + np.array(whole, dtype=np.int64)[:, None]
+    zero = integral[:, None] & (m <= 0)
+    # 1/Gamma(m+tau) = (-1)^m sin(pi tau)/pi * Gamma(1-m-tau), and
+    # 1/Gamma(m-tau) = -(-1)^m sin(pi tau)/pi * Gamma(1-m+tau)
+    lg = _loggamma_jets(np.where(zero, 1 - m, m + frac[:, None]), order)
+    flip = (-1.0) ** np.arange(order + 1)
+    # jets in -tau: the alpha side at a zero, the beta side elsewhere
+    flipped = zero == (sides > 0)[:, None]
+    log_acc = np.sum(np.where(zero, 1.0, -1.0)[..., None]
+                     * np.where(flipped[..., None], flip, 1.0) * lg, axis=0)
+    count = zero.sum(axis=0)
+    sign = np.prod(np.where(zero, sides[:, None] * (1 - 2 * (m % 2)), 1), axis=0)
+    sj = tj.tsin_pi_over_pi(order)
+    powers = np.array([tj.tpow_int(sj, k) for k in range(count.max(initial=0) + 1)])
+    acc = tj.tmul(tj.texp(log_acc), sign[:, None] * powers[count])
+    return tj.to_normalized(acc)
+
+
+def balanced_gamma_jet(data: ExponentData, t0: Index, order: int, l: int) -> Jet:
+    """Normalized jet of t -> G(l + t) at t = t0: the one-row case of
+    :func:`balanced_gamma_jets`."""
+    row = balanced_gamma_jets(data, t0, order, [l])[0]
+    return Jet(t0=float(t0), order=order, coefficients=tuple(row))
 
 
 # --- identities and growth -------------------------------------------------
@@ -272,13 +289,17 @@ def pw_growth_check(data: ExponentData, ymax: float = 40.0,
 
     The product of 2n reciprocal gammas grows like exp(pi n |y|) times a
     power of |y|; the check reports the largest finite-difference slope on
-    |y| <= ymax and compares it with pi*n plus a small margin.
+    |y| <= ymax and compares it with pi*n plus a small margin.  log|G(iy)|
+    is summed from the factors' log-gamma values, since G(iy) itself leaves
+    double range at n = 6 (about e^(6 pi 40) at y = 40).
     """
     n = data.n
     if slope_bound is None:
         slope_bound = math.pi * n + 0.05
     ys = np.arange(1.0, ymax + 1e-9, 0.5)
-    logs = np.array([math.log(abs(balanced_gamma(data, 1j * y))) for y in ys])
+    iy = 1j * ys[:, None]
+    logs = -(sp.loggamma(iy - np.array(data.alpha_floats()) + 1).real.sum(axis=1)
+             + sp.loggamma(-iy + np.array(data.beta_floats()) + 1).real.sum(axis=1))
     slopes = np.diff(logs) / np.diff(ys)
     max_slope = float(slopes.max())
     # normalized excess over pi*n stays bounded above

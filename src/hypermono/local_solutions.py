@@ -7,7 +7,10 @@ The basis element indexed by (j, r) is
 summed over l >= 0 at z = 0 (and with l replaced by -l at infinity).  The
 r-th normalized derivative of the product expands by Leibniz into jet
 coefficients of G times powers of log(z)/(2 pi i); the series is summed
-with an adaptive tail criterion.  The branch of log z is part of the
+with an adaptive tail criterion.  Each group of the side takes one jet
+table (rows l = 0..N, from ``balanced_gamma_jets``) that its series share,
+and the terms past the table are computed a block at a time as the
+summation asks for them.  The branch of log z is part of the
 evaluation point: callers pass arg z as a real number on the universal
 cover, which is what makes monodromy observable.
 """
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import _taylor as tj
 from .exponents import ExponentData, Index, group_exponents
-from .gammaprod import Jet, balanced_gamma_jet
+from .gammaprod import Jet, balanced_gamma_jets
 
 __all__ = [
     "SolutionSeries",
@@ -58,44 +61,53 @@ class SolutionSeries:
     representative: Index
     data: ExponentData
     truncation: int
-    jets: tuple[Jet, ...]           # jets of G(+-l + t) for l = 0..truncation
-    _extra: dict = field(default_factory=dict, repr=False, compare=False)
+    # normalized jets of G(+-l + t) at the representative, row l = 0..truncation
+    table: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def jets(self) -> tuple[Jet, ...]:
+        """The rows of the jet table as :class:`Jet` values."""
+        return tuple(self.jet(l) for l in range(self.truncation + 1))
 
     def jet(self, l: int) -> Jet:
-        """Jet of the l-th term; beyond the table they are computed on demand."""
-        if l <= self.truncation:
-            return self.jets[l]
-        cached = self._extra.get(l)
-        if cached is None:
-            cached = balanced_gamma_jet(self.data, self.representative,
-                                        self.r, self._shift(l))
-            self._extra[l] = cached
-        return cached
+        """Jet of the l-th term: the one-row case of :meth:`block`."""
+        return Jet(t0=float(self.representative), order=self.r,
+                   coefficients=tuple(self.block(l, l + 1)[0]))
 
-    def _shift(self, l: int) -> int:
-        return l if self.side == "zero" else -l
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Jet rows for the terms l = lo..hi-1; rows past the table are
+        computed in one call."""
+        stored = self.table[lo:hi]
+        start = max(lo, len(self.table))
+        if hi <= start:
+            return stored
+        sign = 1 if self.side == "zero" else -1
+        extra = balanced_gamma_jets(self.data, self.representative, self.r,
+                                    sign * np.arange(start, hi))
+        return np.concatenate([stored, extra])
 
 
 def build_basis(data: ExponentData, side: str, N: int = 80) -> list[SolutionSeries]:
     """All n series for one side, ordered like the multiplicity structure.
 
     The definition requires r < m_j, so each group of multiplicity m
-    contributes orders r = 0..m-1 (n series in total).
+    contributes orders r = 0..m-1 (n series in total).  The jets of order
+    r are the first r+1 columns of the group's order m-1 table, so each
+    group takes one table.
     """
     if side not in ("zero", "infinity"):
         raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
     if N < 1:
         raise ValueError("truncation must be positive")
     ms = group_exponents(data, "alpha" if side == "zero" else "beta")
-    sign = 1 if side == "zero" else -1
+    shifts = np.arange(N + 1) if side == "zero" else -np.arange(N + 1)
     out = []
     for j, (rep, m) in enumerate(zip(ms.representatives, ms.multiplicities), start=1):
+        table = balanced_gamma_jets(data, rep, m - 1, shifts)
         for r in range(m):
-            jets = tuple(
-                balanced_gamma_jet(data, rep, r, sign * l) for l in range(N + 1)
-            )
             out.append(SolutionSeries(side=side, j=j, r=r, representative=rep,
-                                      data=data, truncation=N, jets=jets))
+                                      data=data, truncation=N,
+                                      table=table[:, : r + 1]))
     return out
 
 
@@ -139,7 +151,7 @@ def eval_derivatives(s: SolutionSeries, z: complex, arg: float | None,
     lo, hi = 0, s.truncation + 1
     while lo <= HARD_CAP:
         hi = min(hi, HARD_CAP + 1)
-        jets = np.array([s.jet(l).coefficients for l in range(lo, hi)], dtype=complex)
+        jets = s.block(lo, hi)
         x = sign * np.arange(lo, hi) + t0
         zp = np.cumprod(np.concatenate(([zpow], np.full(hi - lo - 1, zstep))))
         # W[l, q] is the q-th weighted B column of _row_tables at term l
@@ -235,14 +247,8 @@ def coefficient_recurrence_residual(data: ExponentData, side: str, l: int) -> fl
     for rep, m in zip(ms.representatives, ms.multiplicities):
         order = m - 1
         shift = sign * l
-        jet_l = tj.from_normalized(
-            np.asarray(balanced_gamma_jet(data, rep, order, shift).coefficients)
-        )
-        jet_lm1 = tj.from_normalized(
-            np.asarray(balanced_gamma_jet(data, rep, order, shift - 1).coefficients)
-        )
-        lhs = jet_l
-        rhs = jet_lm1
+        rhs, lhs = tj.from_normalized(
+            balanced_gamma_jets(data, rep, order, [shift - 1, shift]))
         base = shift + float(rep)
         for a in data.alpha:
             lhs = tj.tmul(lhs, tj.tlinear(base - float(a), 1.0, order))

@@ -7,6 +7,12 @@ coefficient matrix analytic away from 0 and lambda:
     Y'(z) = C(z) Y,   C = N(z)/z,   N = companion with last row
     (z b_k - lambda a_k) / (lambda - z).
 
+This is the companion-form reduction Beukers and Heckman (1989) use for
+these operators.  The right-hand side never forms C: ``OdeSystem.apply``
+returns C(z) @ M as the shift M[1:] above one product of the last row of
+N with M, scaled by 1/z (``coefficient_matrix`` stays as the dense
+definition).
+
 Transport along paths is an embedded Dormand-Prince 5(4) pair with PI
 step control on the full fundamental matrix.  The state is flattened and
 the seven stage derivatives K are kept as the rows of one (7, Y.size)
@@ -80,13 +86,31 @@ class OdeSystem:
         return self.data.n
 
     def coefficient_matrix(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        if abs(z) < 1e-8 or abs(z - self.lam) < 1e-8:
-            raise EvaluationNearSingularity(f"z={z} too close to a singular point")
+        """The dense C(z) = N(z)/z, the definition :meth:`apply` follows."""
+        z = self._regular_point(z)
         n = self.dimension
         N = np.eye(n, k=1, dtype=complex)
         N[-1] = (z * self.b_coeffs[:n] - self.lam * self.a_coeffs[:n]) / (self.lam - z)
         return N / z
+
+    def apply(self, z: complex, M: np.ndarray) -> np.ndarray:
+        """C(z) @ M from the companion structure, without forming C: the
+        shift M[1:] above one product of the last row of N with M, all
+        scaled by 1/z."""
+        z = self._regular_point(z)
+        n = self.dimension
+        q = 1.0 / (self.lam - z)
+        out = np.empty(M.shape, dtype=complex)
+        out[:-1] = M[1:]
+        out[-1] = ((z * q) * self.b_coeffs[:n] - (self.lam * q) * self.a_coeffs[:n]) @ M
+        out *= 1.0 / z
+        return out
+
+    def _regular_point(self, z: complex) -> complex:
+        z = complex(z)
+        if abs(z) < 1e-8 or abs(z - self.lam) < 1e-8:
+            raise EvaluationNearSingularity(f"z={z} too close to a singular point")
+        return z
 
 
 def companion_system(data: ExponentData) -> OdeSystem:
@@ -176,26 +200,22 @@ _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 def _integrate_piece(sys: OdeSystem, piece: _Piece, Y: np.ndarray,
                      rtol: float, atol: float, max_step: float) -> np.ndarray:
     shape = Y.shape
-
-    def rhs(t, y):
-        M = y.reshape(shape)
-        return (piece.dz(t) * (sys.coefficient_matrix(piece.z(t)) @ M)).ravel()
-
     y = Y.ravel()
     K = np.empty((7, y.size), dtype=complex)  # stage derivatives as rows
     t = 0.0
     h = min(max_step, 1e-2)
     err_prev = 1.0
-    K[0] = rhs(t, y)
+    K[0] = (piece.dz(t) * sys.apply(piece.z(t), Y)).ravel()
     while t < 1.0 - 1e-14:
         last = t + h >= 1.0
         step = 1.0 - t if last else h
         for i in range(1, 7):
             stage = y + step * (_DP_A[i, :i] @ K[:i])
-            K[i] = rhs(t + _DP_C[i] * step, stage)
+            ti = t + _DP_C[i] * step
+            K[i] = (piece.dz(ti) * sys.apply(piece.z(ti), stage.reshape(shape))).ravel()
         y5 = stage  # the last stage input is the fifth-order solution
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean((np.abs(step * (_DP_E @ K)) / scale) ** 2)))
+        e = step * (_DP_E @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
+        err = math.sqrt(np.vdot(e, e).real / e.size)  # RMS of the scaled error
         if err <= 1.0:
             t = 1.0 if last else t + step
             y = y5

@@ -5,10 +5,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hypermono.exponents import raw_exponent_data, validate_irreducible
+from hypermono import _taylor as tj
+from hypermono.exponents import group_exponents, raw_exponent_data, validate_irreducible
 from hypermono.gammaprod import (
+    _balanced_mp,
     balanced_gamma,
     balanced_gamma_jet,
+    balanced_gamma_jets,
     gamma_identity_residual,
     get_precision,
     precision_context,
@@ -161,6 +164,37 @@ def test_jet_beta_side_representative():
             assert abs(jet.coefficients[r] - ref) <= 1e-11 * (abs(ref) + 1e-30)
 
 
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_jet_table_against_mp_route(side):
+    # the alpha class {0, 2, 5} puts the rows l <= 4 on one, two or three
+    # reflection zeros at its representative 0; the beta class {1/4, 9/4}
+    # does the same for l >= -1 at 9/4
+    d = validate_irreducible((F(0), F(2), F(5), F(1, 3)),
+                             (F(1, 4), F(1, 2), F(9, 4), F(2, 3)))
+    shifts = [*range(-6, 7), -80, -50, -25, -10, 10, 25, 50, 80]
+    for rep in group_exponents(d, side).representatives:
+        ref = tj.to_normalized(np.array([_balanced_mp(d, l + rep, 3) for l in shifts]))
+        for order in range(4):
+            table = balanced_gamma_jets(d, rep, order, shifts)
+            assert table.shape == (len(shifts), order + 1)
+            want = ref[:, : order + 1]
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(table - want) <= 1e-10 * scale)
+    zeros = balanced_gamma_jets(d, F(0), 3, shifts)
+    count = np.array([sum(l + 1 - a <= 0 for a in (0, 2, 5)) for l in shifts])
+    assert count.max() == 3
+    for row, k in zip(zeros, count):
+        assert np.all(row[:k] == 0) and row[k] != 0
+
+
+def test_jet_is_the_one_row_table():
+    d = validate_irreducible((F(0), F(0), F(1, 3)), (F(1, 4), F(1, 2), F(2, 3)))
+    table = balanced_gamma_jets(d, F(0), 2, range(-5, 6))
+    for row, l in zip(table, range(-5, 6)):
+        assert balanced_gamma_jet(d, F(0), 2, l).coefficients == tuple(row)
+    assert balanced_gamma_jets(d, F(0), 2, []).shape == (0, 3)
+
+
 def test_gamma_identity_examples():
     d = validate_irreducible((F(0),), (F(1, 2),))
     assert gamma_identity_residual(d, 0.5) <= 1e-12
@@ -208,6 +242,29 @@ def test_pw_growth(suite):
     for data in suite[:4]:
         report = pw_growth_check(data)
         assert report.passed, report.to_jsonable()
+
+
+def test_pw_growth_n6_slope_finite():
+    # |G(40i)| is about e^(6 pi 40) here, beyond double range as a value
+    d = validate_irreducible((F(4, 5), F(1, 6), F(1, 3), F(0), F(0), F(0)),
+                             (F(2, 3), F(1, 4), F(3, 5), F(1, 5), F(3, 4), F(1, 4)))
+    report = pw_growth_check(d)
+    check = report.checks["pw_slope"]
+    assert np.isfinite(check.residual) and np.isfinite(check.details["max_normalized_excess"])
+    assert report.passed, report.to_jsonable()
+
+
+def test_pw_growth_log_space_matches_values(suite):
+    ys = np.arange(1.0, 40.0 + 1e-9, 0.5)
+    five = validate_irreducible((F(0), F(1, 5), F(2, 5), F(3, 5), F(4, 5)),
+                                (F(1, 6), F(1, 3), F(1, 2), F(2, 3), F(5, 6)))
+    for data in [*suite, five]:
+        logs = np.array([math.log(abs(balanced_gamma(data, 1j * y))) for y in ys])
+        check = pw_growth_check(data).checks["pw_slope"]
+        slope = float(np.max(np.diff(logs) / np.diff(ys)))
+        excess = float(np.max((logs - math.pi * data.n * ys) / np.log1p(ys)))
+        assert check.residual == pytest.approx(slope, rel=1e-12)
+        assert check.details["max_normalized_excess"] == pytest.approx(excess, rel=1e-12)
 
 
 @pytest.mark.parametrize("l", [5, -4])

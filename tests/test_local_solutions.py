@@ -230,6 +230,18 @@ def test_jets_extend_beyond_table(simple):
     assert v == pytest.approx(complex(ref), rel=1e-11)
 
 
+def test_blocks_past_the_table_match_a_longer_table():
+    # a group of multiplicity two shares one table between r = 0 and r = 1
+    data = validate_irreducible((F(0), F(0), F(1, 3)), (F(1, 4), F(1, 2), F(2, 3)))
+    for side in ("zero", "infinity"):
+        for short, full in zip(build_basis(data, side, N=20), build_basis(data, side, N=80)):
+            assert short.table.shape == (21, short.r + 1)
+            block = short.block(10, 60)
+            assert np.max(np.abs(block - full.table[10:60])) <= 1e-14 * np.max(np.abs(block))
+            assert short.jet(50).coefficients == pytest.approx(full.jet(50).coefficients,
+                                                               rel=1e-14)
+
+
 def test_build_basis_validation(simple):
     with pytest.raises(ValueError):
         build_basis(simple, "nowhere")

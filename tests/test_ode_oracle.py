@@ -54,6 +54,28 @@ def test_companion_poles_only_at_0_and_lambda():
         sys.coefficient_matrix(sys.lam + 1e-9)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_structured_product_matches_dense(n):
+    rng = np.random.default_rng(n)
+    idx = [F(int(k), 7) for k in rng.choice(7, size=n)]
+    data = validate_irreducible(tuple(idx), tuple(F(2 * k + 1, 16) for k in range(n)))
+    sys = companion_system(data)
+    for z in (0.3, -0.5 + 0.2j, 2.0 - 1.5j, 0.99j):
+        for cols in (1, n, n + 3):
+            M = rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols))
+            ref = sys.coefficient_matrix(z) @ M
+            assert np.max(np.abs(sys.apply(z, M) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_structured_product_rejects_singular_points():
+    data = validate_irreducible((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
+    sys = companion_system(data)
+    M = np.eye(2, dtype=complex)
+    for z in (0.0, 1e-9j, sys.lam + 1e-9):
+        with pytest.raises(EvaluationNearSingularity):
+            sys.apply(z, M)
+
+
 def test_transport_trivial_path(simple_sys):
     Y0 = np.array([[1.3 + 0.1j]])
     path = PathSpec(pieces=(segment(0.5, 0.5 + 0j, (0.0, -1.0 + 0j)),), base=0.5)
@@ -116,6 +138,9 @@ def test_wronskian_abel_drift():
 
         def coefficient_matrix(self, z):
             return np.array([[np.trace(sys.coefficient_matrix(z))]])
+
+        def apply(self, z, M):
+            return self.coefficient_matrix(z) @ M
 
     Y0 = fundamental_matrix(build_basis(data, "zero"), 0.3, 0.0)
     sing = (0.0 + 0j, sys.lam)
