@@ -168,7 +168,7 @@ def test_jet_beta_side_representative():
 def test_jet_table_against_mp_route(side):
     # the alpha class {0, 2, 5} puts the rows l <= 4 on one, two or three
     # reflection zeros at its representative 0; the beta class {1/4, 9/4}
-    # does the same for l >= -1 at 9/4
+    # puts the rows l >= -1 on one or two at 9/4
     d = validate_irreducible((F(0), F(2), F(5), F(1, 3)),
                              (F(1, 4), F(1, 2), F(9, 4), F(2, 3)))
     shifts = [*range(-6, 7), -80, -50, -25, -10, 10, 25, 50, 80]
