@@ -1,8 +1,10 @@
 """Command-line front end: compute, verify, eval, oracle.
 
-Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
-Complex numbers serialize as [re, im] pairs and matrices as row-major
-nested arrays, so every emitted report re-parses losslessly.
+Exit codes: 0 success, 2 input/validation error (argparse usage errors
+included), 3 numerical failure.  Complex numbers serialize as [re, im]
+pairs and matrices as row-major nested arrays, so every emitted report
+re-parses losslessly.  Each subcommand takes only the flags its handler
+reads, and the handlers read the parsed ``argparse.Namespace`` directly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,61 +54,39 @@ INPUT_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    command: str
-    alpha: str | None = None
-    beta: str | None = None
-    basis: str = "A"
-    l: int | None = None
-    checks: str = "all"
-    what: str | None = None
-    tol: float | None = None
-    precision: str = "double"
-    out: str | None = None
-    fmt: str = "json"
-    extra: dict = field(default_factory=dict)
-
-
 def _parse_complex(text: str) -> complex:
     return complex(text.replace("i", "j").replace(" ", ""))
 
 
-def _emit(payload, cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
-        text = _to_csv(payload)
+def _emit(payload, out: str | None, fmt: str = "json") -> None:
+    """Write a JSON payload, or CSV rows, to ``out`` or stdout."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(payload)
+        text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _to_csv(payload) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    rows = payload["rows"] if isinstance(payload, dict) and "rows" in payload else payload
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _data_from(cfg: RunConfig, require_irreducible: bool = True):
-    if cfg.alpha is None or cfg.beta is None:
+def _data_from(ns: argparse.Namespace, require_irreducible: bool = True):
+    if ns.alpha is None or ns.beta is None:
         raise ValueError("--alpha and --beta are required")
-    alpha = parse_index_list(cfg.alpha)
-    beta = parse_index_list(cfg.beta)
+    alpha = parse_index_list(ns.alpha)
+    beta = parse_index_list(ns.beta)
     if require_irreducible:
         return validate_irreducible(alpha, beta)
     return raw_exponent_data(alpha, beta)
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    data = _data_from(cfg)
-    result = monodromy.monodromy_matrices(data, cfg.basis, cfg.l)
-    _emit(result.to_jsonable(), cfg)
+def cmd_compute(ns: argparse.Namespace) -> int:
+    data = _data_from(ns)
+    result = monodromy.monodromy_matrices(data, ns.basis, ns.l)
+    _emit(result.to_jsonable(), ns.out)
     return EXIT_OK
 
 
@@ -126,15 +105,14 @@ def _check_ft(data, tol) -> VerificationReport:
     return report
 
 
-def _check_cyclic(cfg: RunConfig, tol) -> VerificationReport:
-    if cfg.extra.get("A"):
-        values = [_parse_complex(v) for v in cfg.extra["A"].split(",")]
-        mults = ([int(m) for m in cfg.extra["m"].split(",")]
-                 if cfg.extra.get("m") else None)
+def _check_cyclic(ns: argparse.Namespace, tol) -> VerificationReport:
+    if ns.A_values:
+        values = [_parse_complex(v) for v in ns.A_values.split(",")]
+        mults = [int(m) for m in ns.m_values.split(",")] if ns.m_values else None
         ms = MultiplicityStructure.from_values(values, mults)
     else:
-        ms = group_exponents(_data_from(cfg), "alpha")
-    l = cfg.l if cfg.l is not None else 0
+        ms = group_exponents(_data_from(ns), "alpha")
+    l = ns.l if ns.l is not None else 0
     bound = tol or 1e-9
     C = matrices.cyclic_conjugate(ms, l)
     n = ms.n
@@ -157,18 +135,15 @@ def _check_cyclic(cfg: RunConfig, tol) -> VerificationReport:
 
 
 def _check_identity(data, tol) -> VerificationReport:
-    rng = np.random.default_rng(0)
+    re, im = np.random.default_rng(0).uniform(-5, 5, (100, 2)).T
     bound = tol or 1e-10
-    worst = 0.0
-    for _ in range(100):
-        s = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        worst = max(worst, gammaprod.gamma_identity_residual(data, s))
+    worst = float(np.max(gammaprod.gamma_identity_residual(data, re + 1j * im)))
     report = VerificationReport()
     report.add("gamma_identity", worst <= bound, worst, points=100)
     return report
 
 
-def _check_stirling(data, tol) -> VerificationReport:
+def _check_stirling(data) -> VerificationReport:
     xs = np.arange(-20, 21, dtype=float)
     grid = [complex(x, y) for x in xs for y in xs if not (y == 0 and x <= 0)]
     report = gammaprod.stirling_bound_check(grid, C=5.0)
@@ -186,8 +161,8 @@ def _check_oracle(data, tol) -> VerificationReport:
     return ode_oracle.compare_invariants(alg, (m0, ml), tol=tol or 1e-6)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    wanted = [c.strip() for c in cfg.checks.split(",") if c.strip()]
+def cmd_verify(ns: argparse.Namespace) -> int:
+    wanted = [c.strip() for c in ns.checks.split(",") if c.strip()]
     for c in wanted:
         if c not in KNOWN_CHECKS:
             raise ValueError(f"unknown check {c!r}; choose from {KNOWN_CHECKS}")
@@ -196,26 +171,26 @@ def cmd_verify(cfg: RunConfig) -> int:
         wanted = ["identity", "stirling", "cyclic", "ft", "pseudoreflection",
                   "oracle", "replication"]
     report = VerificationReport()
-    tol = cfg.tol
+    tol = ns.tol
     for check in wanted:
         if check == "cyclic":
-            report.merge(_check_cyclic(cfg, tol))
+            report.merge(_check_cyclic(ns, tol))
             continue
         if check == "ft":
-            data = _data_from(cfg, require_irreducible=False)
+            data = _data_from(ns, require_irreducible=False)
             if run_all and (data.n > 3 or not circle_solutions.is_smooth(data)):
                 report.add("ft_skipped", True, 0.0,
                            reason="needs n <= 3 and positive index gaps")
                 continue
             report.merge(_check_ft(data, tol))
             continue
-        data = _data_from(cfg)
+        data = _data_from(ns)
         if check == "identity":
             report.merge(_check_identity(data, tol))
         elif check == "stirling":
-            report.merge(_check_stirling(data, tol))
+            report.merge(_check_stirling(data))
         elif check == "pseudoreflection":
-            result = monodromy.monodromy_matrices(data, cfg.basis, cfg.l)
+            result = monodromy.monodromy_matrices(data, ns.basis, ns.l)
             report.merge(monodromy.pseudoreflection_check(result))
         elif check == "oracle":
             report.merge(_check_oracle(data, tol))
@@ -225,59 +200,50 @@ def cmd_verify(cfg: RunConfig) -> int:
                            reason="direct kernel needs positive index gaps")
                 continue
             report.merge(monodromy.replication_identity_check(
-                data, cfg.l, tol=tol or 1e-5))
-    _emit(report.to_jsonable(), cfg)
+                data, ns.l, tol=tol or 1e-5))
+    _emit(report.to_jsonable(), ns.out)
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    what = cfg.what
-    if what not in ("gamma", "S_A", "S_B", "f"):
-        raise ValueError("--what must be one of gamma, S_A, S_B, f")
+def cmd_eval(ns: argparse.Namespace) -> int:
     rows = [("input", "re", "im")]
-    if what == "gamma":
-        data = _data_from(cfg, require_irreducible=False)
-        if "s" not in cfg.extra:
+    if ns.what == "gamma":
+        data = _data_from(ns, require_irreducible=False)
+        if ns.s is None:
             raise ValueError("--what gamma requires --s")
-        for stext in cfg.extra["s"].split(","):
-            s = _parse_complex(stext)
-            v = gammaprod.balanced_gamma(data, s)
-            rows.append((stext, v.real, v.imag))
-    elif what in ("S_A", "S_B"):
-        data = _data_from(cfg)
-        if "z" not in cfg.extra or "arg" not in cfg.extra:
-            raise ValueError(f"--what {what} requires --z and --arg")
-        side = "zero" if what == "S_A" else "infinity"
+        stexts = ns.s.split(",")
+        values = gammaprod.balanced_gamma(data, [_parse_complex(t) for t in stexts])
+        rows += [(t, v.real, v.imag) for t, v in zip(stexts, values.tolist())]
+    elif ns.what in ("S_A", "S_B"):
+        data = _data_from(ns)
+        if ns.z is None or ns.arg is None:
+            raise ValueError(f"--what {ns.what} requires --z and --arg")
+        side = "zero" if ns.what == "S_A" else "infinity"
         basis = local_solutions.build_basis(data, side)
-        j = int(cfg.extra.get("j", 1))
-        r = int(cfg.extra.get("r", 0))
-        series = next((s for s in basis if s.j == j and s.r == r), None)
+        series = next((s for s in basis if s.j == ns.j and s.r == ns.r), None)
         if series is None:
-            raise ValueError(f"no basis element (j={j}, r={r})")
-        z = _parse_complex(cfg.extra["z"])
-        arg = float(cfg.extra["arg"])
-        v = local_solutions.eval_series(series, z, arg)
-        rows.append((cfg.extra["z"], v.real, v.imag))
+            raise ValueError(f"no basis element (j={ns.j}, r={ns.r})")
+        v = local_solutions.eval_series(series, _parse_complex(ns.z), ns.arg)
+        rows.append((ns.z, v.real, v.imag))
     else:
-        data = _data_from(cfg, require_irreducible=False)
-        if "phi" not in cfg.extra:
+        data = _data_from(ns, require_irreducible=False)
+        if ns.phi is None:
             raise ValueError("--what f requires --phi")
-        k = int(cfg.extra.get("k", 0))
-        grid = [float(p) for p in cfg.extra["phi"].split(",")]
-        sample = circle_solutions.f_piece(data, k, grid)
+        grid = [float(p) for p in ns.phi.split(",")]
+        sample = circle_solutions.f_piece(data, ns.k, grid)
         for p, v in zip(sample.grid, sample.values):
             rows.append((p, v.real, v.imag))
-    if cfg.fmt == "csv":
-        _emit(rows, cfg)
+    if ns.format == "csv":
+        _emit(rows, ns.out, "csv")
     else:
-        _emit({"what": what, "rows": [list(r) for r in rows[1:]]}, cfg)
+        _emit({"what": ns.what, "rows": [list(r) for r in rows[1:]]}, ns.out)
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    data = _data_from(cfg)
-    report = _check_oracle(data, cfg.tol)
-    _emit(report.to_jsonable(), cfg)
+def cmd_oracle(ns: argparse.Namespace) -> int:
+    data = _data_from(ns)
+    report = _check_oracle(data, ns.tol)
+    _emit(report.to_jsonable(), ns.out)
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
@@ -289,23 +255,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--alpha", help="comma-separated indices, e.g. 0,1/2")
-        p.add_argument("--beta", help="comma-separated indices, e.g. 1/4,3/4")
-        p.add_argument("--l", type=int, default=None, help="branch integer")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--precision", choices=("double", "extended"),
-                       default=None)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    # flags shared between subcommands; each subcommand adds only the ones
+    # its handler reads
+    shared = {
+        "--alpha": dict(help="comma-separated indices, e.g. 0,1/2"),
+        "--beta": dict(help="comma-separated indices, e.g. 1/4,3/4"),
+        "--l": dict(type=int, default=None, help="branch integer"),
+        "--tol": dict(type=float, default=None),
+        "--precision": dict(choices=("double", "extended"), default=None),
+        "--out": dict(default=None, help="output path (default stdout)"),
+        "--basis": dict(choices=("A", "B", "f"), default="A"),
+    }
+
+    def add(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("compute", help="emit M0, Minf, Mlambda in a basis")
-    common(p)
-    p.add_argument("--basis", choices=("A", "B", "f"), default="A")
+    add(p, "--alpha", "--beta", "--l", "--out", "--basis")
 
     p = sub.add_parser("verify", help="run identity checks")
-    common(p)
-    p.add_argument("--basis", choices=("A", "B", "f"), default="A")
+    add(p, "--alpha", "--beta", "--l", "--tol", "--precision", "--out", "--basis")
     p.add_argument("--checks", default="all",
                    help=f"comma-separated subset of {KNOWN_CHECKS}")
     p.add_argument("--A", dest="A_values", default=None,
@@ -314,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="multiplicities for --A")
 
     p = sub.add_parser("eval", help="evaluate gamma, S_A, S_B or f")
-    common(p)
+    add(p, "--alpha", "--beta", "--precision", "--out")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--what", required=True, choices=("gamma", "S_A", "S_B", "f"))
     p.add_argument("--s", default=None, help="comma-separated s values")
     p.add_argument("--j", type=int, default=1)
@@ -326,33 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated phi grid")
 
     p = sub.add_parser("oracle", help="ODE-transport comparison report")
-    common(p)
+    add(p, "--alpha", "--beta", "--tol", "--precision", "--out")
 
     return parser
-
-
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    # HYPERMONO_PRECISION overrides the flag
-    precision = os.environ.get("HYPERMONO_PRECISION") or ns.precision or "double"
-    cfg = RunConfig(
-        command=ns.command,
-        alpha=ns.alpha,
-        beta=ns.beta,
-        basis=getattr(ns, "basis", "A"),
-        l=ns.l,
-        checks=getattr(ns, "checks", "all"),
-        what=getattr(ns, "what", None),
-        tol=ns.tol,
-        precision=precision,
-        out=ns.out,
-        fmt=ns.format,
-    )
-    for key, attr in (("A", "A_values"), ("m", "m_values"), ("s", "s"),
-                      ("j", "j"), ("r", "r"), ("z", "z"), ("arg", "arg"),
-                      ("k", "k"), ("phi", "phi")):
-        if hasattr(ns, attr) and getattr(ns, attr) is not None:
-            cfg.extra[key] = getattr(ns, attr)
-    return cfg
 
 
 #: flags whose values may begin with a minus sign (negative numbers,
@@ -380,8 +327,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     ns = parser.parse_args(_join_value_flags(list(argv)))
-    cfg = _config_from(ns)
-    if cfg.tol is not None and cfg.tol <= 0:
+    if getattr(ns, "tol", None) is not None and ns.tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)
         return EXIT_INPUT
     handler = {
@@ -389,10 +335,13 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "eval": cmd_eval,
         "oracle": cmd_oracle,
-    }[cfg.command]
+    }[ns.command]
+    # HYPERMONO_PRECISION overrides the flag
+    precision = (os.environ.get("HYPERMONO_PRECISION")
+                 or getattr(ns, "precision", None) or "double")
     try:
-        with gammaprod.precision_context(cfg.precision):
-            return handler(cfg)
+        with gammaprod.precision_context(precision):
+            return handler(ns)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

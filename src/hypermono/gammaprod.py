@@ -20,8 +20,10 @@ t = t0 are found by exact integer tests on l + t0 - alpha_i + 1 and
 integer is decided once, and its zeros are then an integer range of l.
 
 An optional extended-precision mode (about 30 significant digits, via
-mpmath) can be switched on for oracle comparisons that want headroom; the
-results are rounded back to complex128 on return.
+mpmath) can be switched on for oracle comparisons that want headroom.  It
+covers the products of 2n factors, ``balanced_gamma`` and
+``balanced_gamma_jets``, whose results are rounded back to complex128 on
+return; a single reciprocal gamma is always scipy's.
 """
 
 from __future__ import annotations
@@ -79,13 +81,7 @@ def precision_context(mode: str):
 
 def reciprocal_gamma(s: complex) -> complex:
     """Entire function 1/Gamma(s); exact zeros at s = 0, -1, -2, ..."""
-    s = complex(s)
-    if get_precision() == "extended":
-        import mpmath as mp
-
-        with mp.workdps(_EXTENDED_DPS):
-            return complex(mp.rgamma(mp.mpc(s.real, s.imag)))
-    return complex(sp.rgamma(s))
+    return complex(sp.rgamma(complex(s)))
 
 
 def gamma(s: complex) -> complex:
@@ -96,17 +92,20 @@ def gamma(s: complex) -> complex:
     return 1.0 / r
 
 
-def balanced_gamma(data: ExponentData, s: complex) -> complex:
-    """The entire product of 2n reciprocal gamma factors at s."""
-    s = complex(s)
+def balanced_gamma(data: ExponentData, s):
+    """The entire product of 2n reciprocal gamma factors at s: a complex
+    for a scalar s, an array of the same shape for an array."""
+    s = np.asarray(s, dtype=complex)
     if get_precision() == "extended":
-        return complex(_balanced_mp(data, s, 0)[0])
-    acc = 1.0 + 0.0j
-    for a in data.alpha:
-        acc *= reciprocal_gamma(s - float(a) + 1.0)
-    for b in data.beta:
-        acc *= reciprocal_gamma(-s + float(b) + 1.0)
-    return acc
+        acc = np.array([_balanced_mp(data, complex(x), 0)[0] for x in s.flat],
+                       dtype=complex).reshape(s.shape)
+    else:
+        acc = np.ones_like(s)
+        for a in data.alpha:
+            acc = acc * sp.rgamma(s - float(a) + 1.0)
+        for b in data.beta:
+            acc = acc * sp.rgamma(-s + float(b) + 1.0)
+    return complex(acc) if acc.ndim == 0 else acc
 
 
 def _balanced_mp(data: ExponentData, s0, order: int) -> list:
@@ -235,16 +234,18 @@ def balanced_gamma_jet(data: ExponentData, t0: Index, order: int, l: int) -> Jet
 
 # --- identities and growth -------------------------------------------------
 
-def gamma_identity_residual(data: ExponentData, s: complex) -> float:
-    """Relative residual of G(s) prod(s - alpha_i) = G(s-1) prod(beta_i - s + 1)."""
-    s = complex(s)
+def gamma_identity_residual(data: ExponentData, s):
+    """Relative residual of G(s) prod(s - alpha_i) = G(s-1) prod(beta_i - s + 1):
+    a float for a scalar s, an array of the same shape for an array."""
+    s = np.asarray(s, dtype=complex)
     lhs = balanced_gamma(data, s)
     for a in data.alpha:
-        lhs *= s - float(a)
+        lhs = lhs * (s - float(a))
     rhs = balanced_gamma(data, s - 1)
     for b in data.beta:
-        rhs *= -(s - 1) + float(b)
-    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
+        rhs = rhs * (-(s - 1) + float(b))
+    res = np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300)
+    return float(res) if res.ndim == 0 else res
 
 
 def stirling_bound_check(s_grid, C: float) -> VerificationReport:
@@ -254,16 +255,17 @@ def stirling_bound_check(s_grid, C: float) -> VerificationReport:
     """
     if C <= 0:
         raise ValueError("C must be positive")
-    grid = [complex(s) for s in s_grid]
-    if not grid:
+    grid = np.array([complex(s) for s in s_grid], dtype=complex)
+    if not grid.size:
         raise ValueError("grid must be nonempty")
-    worst = 0.0
-    worst_s = grid[0]
-    for s in grid:
-        ratio = _stirling_ratio(s)
-        if ratio > worst:
-            worst = ratio
-            worst_s = s
+    bound = ((1.0 + np.abs(grid)) ** (0.5 - grid.real)
+             * np.exp(np.angle(grid) * grid.imag + grid.real))
+    # NaN ratios never count; ties go to the first point
+    ratio = np.abs(sp.rgamma(grid)) / bound
+    ratio = np.where(ratio > 0, ratio, 0.0)
+    k = int(np.argmax(ratio))
+    worst = float(ratio[k])
+    worst_s = complex(grid[k])
     report = VerificationReport()
     report.add(
         "stirling_bound",
@@ -274,13 +276,6 @@ def stirling_bound_check(s_grid, C: float) -> VerificationReport:
         grid_size=len(grid),
     )
     return report
-
-
-def _stirling_ratio(s: complex) -> float:
-    val = abs(reciprocal_gamma(s))
-    arg = math.atan2(s.imag, s.real)
-    bound = (1.0 + abs(s)) ** (0.5 - s.real) * math.exp(arg * s.imag + s.real)
-    return val / bound
 
 
 def pw_growth_check(data: ExponentData, ymax: float = 40.0,

@@ -275,11 +275,14 @@ def _loop_zero(sys: OdeSystem, rho: float, theta: float) -> PathSpec:
 def _loop_lambda(sys: OdeSystem, rho: float, theta: float, r_small: float = 0.4) -> PathSpec:
     """Based loop around lambda realizing Mlambda Minf M0 = I.
 
-    Out along the base ray, along the staging circle to the lambda side, a
-    counterclockwise circle of radius r_small around lambda, and back the
-    same way.  The bare petal composes as Minf Mlambda M0 = I instead; the
-    pre/post windings around 0 conjugate it into the advertised convention
-    (checked against the closed-form matrices in the test suite).
+    Out along the base ray to the staging circle, counterclockwise along it
+    to the lambda side, a counterclockwise circle of radius r_small around
+    lambda, and back the same way.  The bare petal (the shortest staging
+    arc) composes as Minf Mlambda M0 = I instead; taking the staging arc
+    one counterclockwise turn further conjugates it into the advertised
+    convention (checked against the closed-form matrices in the test
+    suite).  The base must lie inside the staging circle, whose radius is
+    1 - r_small, so that the turn encloses 0 and not lambda.
     """
     sing = _sing_set(sys)
     lam = sys.lam
@@ -287,20 +290,16 @@ def _loop_lambda(sys: OdeSystem, rho: float, theta: float, r_small: float = 0.4)
     base = rho * cmath.exp(1j * theta)
     mid_r = 1.0 - r_small  # radius of the staging circle, 0.6 for |lambda| = 1
     p1 = mid_r * cmath.exp(1j * theta)
-    # shortest angular route from theta to the lambda ray
-    dth = (theta_lam - theta + math.pi) % (2 * math.pi) - math.pi
-    pre = arc(0.0, rho, theta, theta + 2 * math.pi, sing)
-    out = [
+    # the shortest angular route from theta to the lambda ray plus one
+    # turn: counterclockwise, between pi and 3 pi
+    dth = (theta_lam - theta + math.pi) % (2 * math.pi) + math.pi
+    return PathSpec(pieces=(
         segment(base, p1, sing),
         arc(0.0, mid_r, theta, theta + dth, sing),
-    ]
-    circle = arc(lam, r_small, theta_lam + math.pi, theta_lam + 3 * math.pi, sing)
-    back = [
+        arc(lam, r_small, theta_lam + math.pi, theta_lam + 3 * math.pi, sing),
         arc(0.0, mid_r, theta + dth, theta, sing),
         segment(p1, base, sing),
-    ]
-    post = arc(0.0, rho, theta, theta - 2 * math.pi, sing)
-    return PathSpec(pieces=(pre, *out, circle, *back, post), base=base)
+    ), base=base)
 
 
 def _loop_infinity(sys: OdeSystem, rho: float, theta: float, R: float = 3.0) -> PathSpec:

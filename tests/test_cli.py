@@ -153,6 +153,25 @@ def test_oracle_command(capsys):
     assert all(v["pass"] for v in payload.values())
 
 
+@pytest.mark.parametrize("command", ["compute", "verify", "oracle"])
+def test_csv_format_is_eval_only(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--alpha", "0", "--beta", "1/2", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--alpha", "0", "--beta", "1/2", "--l", "3"],
+    ["compute", "--alpha", "0", "--beta", "1/2", "--tol", "1e-3"],
+])
+def test_flags_a_command_ignores_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_env_precision(monkeypatch, capsys):
     import hypermono.gammaprod as gp
 

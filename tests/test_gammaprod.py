@@ -211,6 +211,20 @@ def test_gamma_identity_random(suite):
             assert gamma_identity_residual(data, s) <= 1e-10
 
 
+def test_gamma_products_take_arrays(suite):
+    pts = np.array([[0.5, -1.0 + 0.3j], [2.0 - 1.5j, 3.3j]])
+    for data in suite:
+        values = balanced_gamma(data, pts)
+        residuals = gamma_identity_residual(data, pts)
+        assert values.shape == residuals.shape == pts.shape
+        # the array and scalar products may round differently in the last bit
+        for s, v, r in zip(pts.flat, values.flat, residuals.flat):
+            assert type(balanced_gamma(data, s)) is complex
+            assert type(gamma_identity_residual(data, s)) is float
+            assert v == pytest.approx(balanced_gamma(data, s), rel=1e-14)
+            assert r == pytest.approx(gamma_identity_residual(data, s), abs=1e-15)
+
+
 def test_stirling_anchor():
     report = stirling_bound_check([1.0], C=1.0)
     assert report.passed

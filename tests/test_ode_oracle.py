@@ -187,6 +187,19 @@ def test_loop_matches_theorem_entrywise():
     assert np.max(np.abs(Ml - alg.mlambda.entries)) <= 1e-8
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    ((F(0), F(1, 3), F(2, 3)), (F(1, 4), F(1, 2), F(3, 4))),
+    ((F(0), F(1, 4), F(1, 2), F(3, 4)), (F(1, 8), F(3, 8), F(5, 8), F(7, 8))),
+    ((F(0), F(1, 5), F(2, 5), F(3, 5), F(4, 5)),
+     (F(1, 6), F(1, 3), F(1, 2), F(2, 3), F(5, 6))),
+])
+def test_lambda_loop_matches_theorem_entrywise(alpha, beta):
+    data = validate_irreducible(alpha, beta)
+    Ml_alg = monodromy_matrices(data, "A").mlambda.entries
+    Ml = loop_monodromy(companion_system(data), data, "lambda").entries
+    assert np.max(np.abs(Ml - Ml_alg)) <= 1e-8 * max(1.0, np.max(np.abs(Ml_alg)))
+
+
 def test_loop_monodromy_b_side():
     # seeded at |z| = 3 with the infinity basis, the clockwise big circle
     # reproduces (D_B^t)^{-1}
