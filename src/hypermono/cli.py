@@ -36,6 +36,17 @@ EXIT_NUMERICAL = 3
 
 KNOWN_CHECKS = ("ft", "cyclic", "identity", "pseudoreflection",
                 "replication", "oracle", "stirling", "all")
+#: the checks that read --tol; stirling and pseudoreflection have fixed bounds
+TOL_CHECKS = ("ft", "cyclic", "identity", "replication", "oracle", "all")
+
+#: the point flags of ``eval``, and the ones each ``--what`` reads
+POINT_FLAGS = ("s", "j", "r", "z", "arg", "k", "phi")
+EVAL_POINT_FLAGS = {
+    "gamma": ("s",),
+    "S_A": ("j", "r", "z", "arg"),
+    "S_B": ("j", "r", "z", "arg"),
+    "f": ("k", "phi"),
+}
 
 NUMERICAL_ERRORS = (
     circle_solutions.QuadratureError,
@@ -166,6 +177,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     for c in wanted:
         if c not in KNOWN_CHECKS:
             raise ValueError(f"unknown check {c!r}; choose from {KNOWN_CHECKS}")
+    if ns.tol is not None and not any(c in TOL_CHECKS for c in wanted):
+        raise ValueError(f"--tol is not read by {', '.join(wanted)}")
     run_all = "all" in wanted
     if run_all:
         wanted = ["identity", "stirling", "cyclic", "ft", "pseudoreflection",
@@ -206,6 +219,13 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
+    unread = [f"--{name}" for name in POINT_FLAGS
+              if name not in EVAL_POINT_FLAGS[ns.what] and getattr(ns, name) is not None]
+    if unread:
+        raise ValueError(f"--what {ns.what} does not read {', '.join(unread)}")
+    j = 1 if ns.j is None else ns.j
+    r = 0 if ns.r is None else ns.r
+    k = 0 if ns.k is None else ns.k
     rows = [("input", "re", "im")]
     if ns.what == "gamma":
         data = _data_from(ns, require_irreducible=False)
@@ -220,9 +240,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
             raise ValueError(f"--what {ns.what} requires --z and --arg")
         side = "zero" if ns.what == "S_A" else "infinity"
         basis = local_solutions.build_basis(data, side)
-        series = next((s for s in basis if s.j == ns.j and s.r == ns.r), None)
+        series = next((s for s in basis if s.j == j and s.r == r), None)
         if series is None:
-            raise ValueError(f"no basis element (j={ns.j}, r={ns.r})")
+            raise ValueError(f"no basis element (j={j}, r={r})")
         v = local_solutions.eval_series(series, _parse_complex(ns.z), ns.arg)
         rows.append((ns.z, v.real, v.imag))
     else:
@@ -230,7 +250,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         if ns.phi is None:
             raise ValueError("--what f requires --phi")
         grid = [float(p) for p in ns.phi.split(",")]
-        sample = circle_solutions.f_piece(data, ns.k, grid)
+        sample = circle_solutions.f_piece(data, k, grid)
         for p, v in zip(sample.grid, sample.values):
             rows.append((p, v.real, v.imag))
     if ns.format == "csv":
@@ -288,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--what", required=True, choices=("gamma", "S_A", "S_B", "f"))
     p.add_argument("--s", default=None, help="comma-separated s values")
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--r", type=int, default=0)
+    p.add_argument("--j", type=int, default=None, help="group index (default 1)")
+    p.add_argument("--r", type=int, default=None, help="log order (default 0)")
     p.add_argument("--z", default=None)
     p.add_argument("--arg", type=float, default=None)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, default=None, help="piece index (default 0)")
     p.add_argument("--phi", "--phi-grid", dest="phi", default=None,
                    help="comma-separated phi grid")
 

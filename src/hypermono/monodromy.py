@@ -17,8 +17,6 @@ rather than trusted from the construction.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,18 +150,36 @@ def _side_basis(data: ExponentData, side: str,
     return basis
 
 
-def _boundary_values(data: ExponentData, side: str, phi: float,
-                     basis: list[SolutionSeries] | None = None) -> np.ndarray:
-    """Values of the side's basis at z = e^(2 pi i phi) by radial transport."""
+def _radial_seeds(data: ExponentData, side: str, phis,
+                  basis: list[SolutionSeries] | None = None):
+    """Start points, end points and seed fundamental matrices of the radial
+    paths from |z| = 1/2 (side A) or |z| = 2 (side B) to z = e^(2 pi i phi).
+
+    P values of phi give shapes (P,), (P,) and (P, n, n); a scalar phi
+    gives one path, with scalar points and an (n, n) seed.
+    """
     basis = _side_basis(data, side, basis)
+    theta = 2 * np.pi * np.asarray(phis, dtype=float)
+    z1 = np.exp(1j * theta)
+    z0 = (0.5 if side == "A" else 2.0) * z1
+    Y0 = [fundamental_matrix(basis, z, t) for z, t in zip(z0.flat, theta.flat)]
+    return z0, z1, np.reshape(Y0, theta.shape + (data.n, data.n))
+
+
+def _transport_radial(data: ExponentData, z0, z1, Y0) -> np.ndarray:
+    """First rows of the seeds Y0 continued along the segments z0 -> z1,
+    all paths in one lock-step integration: the values of each seed's
+    basis at the end of its path."""
     sys = companion_system(data)
-    rho = 0.5 if side == "A" else 2.0
-    theta = 2 * math.pi * phi
-    z0 = rho * cmath.exp(1j * theta)
-    z1 = cmath.exp(1j * theta)
-    Y0 = fundamental_matrix(basis, z0, theta)
     path = PathSpec(pieces=(segment(z0, z1, (0.0, sys.lam)),), base=z0)
-    return transport(sys, path, Y0)[0, :]
+    return transport(sys, path, Y0)[..., 0, :]
+
+
+def _boundary_values(data: ExponentData, side: str, phis,
+                     basis: list[SolutionSeries] | None = None) -> np.ndarray:
+    """Values of the side's basis at z = e^(2 pi i phi) by radial
+    transport: shape (P, n) for P values of phi, (n,) for a scalar phi."""
+    return _transport_radial(data, *_radial_seeds(data, side, phis, basis))
 
 
 def circle_basis_values(data: ExponentData, phi: float, l: int | None = None,
@@ -206,8 +222,10 @@ def replication_identity_check(data: ExponentData, l: int | None = None,
     radially to the circle; for n <= 3 the right side comes from
     convolution quadrature, so the two routes share nothing.  For larger
     n the circle values are themselves recovered from the A-side
-    transport, and the check degrades to mutual consistency of the two
-    sides through the two Vandermonde systems.
+    transport, by one Vandermonde solve for all phi, and the check
+    degrades to mutual consistency of the two sides through the two
+    Vandermonde systems.  Every radial path of the check (one per phi and
+    transported side) runs in a single lock-step transport call.
     """
     n = data.n
     if l is None:
@@ -224,33 +242,33 @@ def replication_identity_check(data: ExponentData, l: int | None = None,
         # f_k(phi) = h(phi - l + k), shared between the two sides; one
         # kernel call over every (phi, k) point
         pts = np.array([[phi - l + k for k in range(n)] for phi in phis], dtype=float)
-        vals = h_convolution(data, pts.ravel(), quad).reshape(pts.shape)
-        fk = dict(zip(phis, vals))
+        fk = h_convolution(data, pts.ravel(), quad).reshape(pts.shape)
         independent = True
+        transported = tuple(sides)
     else:
-        basis_a = build_basis(data, "zero")
-        fk = {phi: circle_basis_values(data, phi, l, side="A", basis=basis_a)
-              for phi in phis}
+        # the A side's boundary values give the circle values through its
+        # Vandermonde system
         sides = tuple(s for s in sides if s != "A")
         independent = False
+        transported = ("A",) + sides
+
+    # every radial path of every side in one integration
+    seeds = [_radial_seeds(data, side, phis) for side in transported]
+    rows = _transport_radial(data, *(np.concatenate(part) for part in zip(*seeds)))
+    boundary = dict(zip(transported, rows.reshape(len(transported), len(phis), n)))
+    if n > 3:
+        V = vandermonde(group_exponents(data, "alpha"), l).entries
+        fk = np.linalg.solve(V, boundary["A"].T).T
 
     report = VerificationReport()
     for side in sides:
         ms = group_exponents(data, "alpha" if side == "A" else "beta")
-        basis = build_basis(data, _LOCAL_SIDE[side])
-        worst = 0.0
-        for phi in phis:
-            boundary = _boundary_values(data, side, phi, basis)
-            col = 0
-            for val, mult in zip(ms.values, ms.multiplicities):
-                for r in range(mult):
-                    rhs = sum(
-                        float(l - k) ** r * val ** (l - k) * fk[phi][k]
-                        for k in range(n)
-                    )
-                    resid = abs(boundary[col] - rhs) / max(1.0, abs(rhs))
-                    worst = max(worst, resid)
-                    col += 1
+        # rhs[p, (j, r)] = sum_k (l-k)**r A_j**(l-k) f_k(phi_p)
+        weights = np.array([[float(l - k) ** r * val ** (l - k) for k in range(n)]
+                            for val, mult in zip(ms.values, ms.multiplicities)
+                            for r in range(mult)])
+        rhs = fk @ weights.T
+        worst = float(np.max(np.abs(boundary[side] - rhs) / np.maximum(1.0, np.abs(rhs))))
         report.add(f"replication_{side}", worst <= tol, worst,
                    l=l, phis=[float(p) for p in phis],
                    independent_kernel=independent)

@@ -20,6 +20,14 @@ array, so each stage input is a single product of a tableau row with the
 earlier stages, the error estimate is (B5 - B4) @ K, and the fifth-order
 solution is the seventh stage input (first same as last).
 
+The same loop carries P paths in lock step: a ``segment`` built from (P,)
+arrays of endpoints holds P parallel curves, the state is (P, n, m), and
+``apply`` takes the P points at once.  The paths share every step.  A step
+is accepted only if the worst path's RMS scaled error is at most 1, and
+the step cap is the smallest of the paths' own caps, so no path takes a
+larger or looser step than it would alone.  One path (a 2-D state) is the
+case P = 1.
+
 Loops around 0, lambda and infinity are built from circles and radial
 segments based at a point where the local series converge, so the
 transported monodromy comes out in the same bases as the closed-form
@@ -93,22 +101,42 @@ class OdeSystem:
         N[-1] = (z * self.b_coeffs[:n] - self.lam * self.a_coeffs[:n]) / (self.lam - z)
         return N / z
 
-    def apply(self, z: complex, M: np.ndarray) -> np.ndarray:
+    def apply(self, z, M: np.ndarray) -> np.ndarray:
         """C(z) @ M from the companion structure, without forming C: the
         shift M[1:] above one product of the last row of N with M, all
-        scaled by 1/z."""
+        scaled by 1/z.
+
+        For P paths in lock step, z has shape (P,) and M shape (P, n, m),
+        and row p of the result is C(z[p]) @ M[p]; a scalar z with a 2-D M
+        is the one-path case.
+        """
         z = self._regular_point(z)
         n = self.dimension
-        q = 1.0 / (self.lam - z)
+        stacked = M.ndim == 3
+        w = z[:, None] if stacked else z  # (P, 1): one last row of N per path
+        q = 1.0 / (self.lam - w)
+        row = (w * q) * self.b_coeffs[:n] - (self.lam * q) * self.a_coeffs[:n]
         out = np.empty(M.shape, dtype=complex)
-        out[:-1] = M[1:]
-        out[-1] = ((z * q) * self.b_coeffs[:n] - (self.lam * q) * self.a_coeffs[:n]) @ M
-        out *= 1.0 / z
+        if stacked:
+            out[:, :-1] = M[:, 1:]
+            out[:, -1] = (row[:, None, :] @ M)[:, 0]
+            out *= (1.0 / z)[:, None, None]
+        else:
+            out[:-1] = M[1:]
+            out[-1] = row @ M
+            out *= 1.0 / z
         return out
 
-    def _regular_point(self, z: complex) -> complex:
-        z = complex(z)
-        if abs(z) < 1e-8 or abs(z - self.lam) < 1e-8:
+    def _regular_point(self, z):
+        """z as a complex number, or a complex array of path points, once
+        every point keeps 1e-8 away from 0 and lambda."""
+        if isinstance(z, np.ndarray):
+            z = z.astype(complex, copy=False)
+            near = np.abs(z).min() < 1e-8 or np.abs(z - self.lam).min() < 1e-8
+        else:
+            z = complex(z)
+            near = abs(z) < 1e-8 or abs(z - self.lam) < 1e-8
+        if near:
             raise EvaluationNearSingularity(f"z={z} too close to a singular point")
         return z
 
@@ -124,17 +152,28 @@ def companion_system(data: ExponentData) -> OdeSystem:
 
 @dataclass(frozen=True)
 class _Piece:
-    z: Callable[[float], complex]
-    dz: Callable[[float], complex]
-    closest: float  # distance of the piece to the singular set, for step caps
+    """One curve, or P curves in lock step: z(t) is then a (P,) array and
+    dz(t) a (P, 1, 1) array that scales the stacked (P, n, m) state."""
+
+    z: Callable[[float], complex | np.ndarray]
+    dz: Callable[[float], complex | np.ndarray]
+    # distance of the piece (of each of its curves) to the singular set,
+    # for step caps
+    closest: float | np.ndarray
 
 
-def segment(z0: complex, z1: complex, sing: tuple[complex, ...]) -> _Piece:
-    z0, z1 = complex(z0), complex(z1)
-    d = min(_dist_segment(z0, z1, s) for s in sing)
-    return _Piece(z=lambda t: z0 + t * (z1 - z0),
-                  dz=lambda t: (z1 - z0),
-                  closest=d)
+def segment(z0, z1, sing: tuple[complex, ...]) -> _Piece:
+    """The straight piece from z0 to z1.  Arrays of endpoints, of shape
+    (P,), give P parallel segments traversed in lock step."""
+    if np.ndim(z0) or np.ndim(z1):
+        z0, z1 = np.asarray(z0, dtype=complex), np.asarray(z1, dtype=complex)
+        w = (z1 - z0)[:, None, None]
+        dz = lambda t: w
+    else:
+        z0, z1 = complex(z0), complex(z1)
+        dz = lambda t: (z1 - z0)
+    d = np.min([_dist_segment(z0, z1, s) for s in sing], axis=0)
+    return _Piece(z=lambda t: z0 + t * (z1 - z0), dz=dz, closest=d)
 
 
 def arc(center: complex, radius: float, theta0: float, theta1: float,
@@ -153,13 +192,11 @@ def arc(center: complex, radius: float, theta0: float, theta1: float,
     return _Piece(z=z, dz=dz, closest=d)
 
 
-def _dist_segment(z0: complex, z1: complex, p: complex) -> float:
+def _dist_segment(z0, z1, p: complex):
     w = z1 - z0
-    if w == 0:
-        return abs(p - z0)
-    t = ((p - z0).real * w.real + (p - z0).imag * w.imag) / abs(w) ** 2
-    t = min(1.0, max(0.0, t))
-    return abs(z0 + t * w - p)
+    ww = np.abs(w) ** 2
+    t = np.clip(((p - z0) * np.conj(w)).real / np.where(ww > 0, ww, 1.0), 0.0, 1.0)
+    return np.abs(z0 + t * w - p)
 
 
 @dataclass(frozen=True)
@@ -172,9 +209,10 @@ class PathSpec:
 
     def __post_init__(self):
         for p in self.pieces:
-            if p.closest < self.margin:
+            closest = np.min(p.closest)
+            if closest < self.margin:
                 raise SingularityApproach(
-                    f"path comes within {p.closest:.2e} of a singular point"
+                    f"path comes within {closest:.2e} of a singular point"
                 )
 
 
@@ -200,6 +238,7 @@ _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 def _integrate_piece(sys: OdeSystem, piece: _Piece, Y: np.ndarray,
                      rtol: float, atol: float, max_step: float) -> np.ndarray:
     shape = Y.shape
+    paths = shape[0] if Y.ndim == 3 else 1
     y = Y.ravel()
     K = np.empty((7, y.size), dtype=complex)  # stage derivatives as rows
     t = 0.0
@@ -215,7 +254,10 @@ def _integrate_piece(sys: OdeSystem, piece: _Piece, Y: np.ndarray,
             K[i] = (piece.dz(ti) * sys.apply(piece.z(ti), stage.reshape(shape))).ravel()
         y5 = stage  # the last stage input is the fifth-order solution
         e = step * (_DP_E @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
-        err = math.sqrt(np.vdot(e, e).real / e.size)  # RMS of the scaled error
+        # RMS of the scaled error of the worst path
+        sq = (np.vdot(e, e).real if paths == 1 else
+              max(np.vdot(ep, ep).real for ep in e.reshape(paths, -1)))
+        err = math.sqrt(sq / (e.size // paths))
         if err <= 1.0:
             t = 1.0 if last else t + step
             y = y5
@@ -233,14 +275,20 @@ def _integrate_piece(sys: OdeSystem, piece: _Piece, Y: np.ndarray,
 
 def transport(sys: OdeSystem, path: PathSpec, Y0: ComplexMatrix | np.ndarray,
               rtol: float = RTOL, atol: float = ATOL) -> np.ndarray:
-    """Continue the fundamental matrix Y0 along the path."""
+    """Continue the fundamental matrix Y0 along the path.
+
+    Y0 of shape (n, m) follows a path of single curves.  Y0 of shape
+    (P, n, m) follows a path of pieces built from (P,) arrays of
+    endpoints: state p moves along curve p, all P in lock step.
+    """
     Y = Y0.entries.copy() if isinstance(Y0, ComplexMatrix) else np.array(Y0, dtype=complex)
     for piece in path.pieces:
         # pole-adjacent stiffness: cap the parameter step so that the z-step
-        # stays below about a twentieth of the distance to the singular set
-        span = abs(piece.dz(0.5))
-        max_step = min(1.0, max(0.05 * piece.closest, 0.005) / max(span, 1e-12))
-        max_step = min(max_step, 0.2)
+        # stays below about a twentieth of the distance to the singular set;
+        # stacked curves share the smallest of their caps
+        span = np.abs(piece.dz(0.5)).ravel()
+        caps = np.maximum(0.05 * piece.closest, 0.005) / np.maximum(span, 1e-12)
+        max_step = min(1.0, float(np.min(caps)), 0.2)
         Y = _integrate_piece(sys, piece, Y, rtol, atol, max_step)
     return Y
 

@@ -263,3 +263,44 @@ def test_in_range_index_text_parses_exactly():
     assert parse_index("0e-10000000") == 0
     with pytest.raises(ValueError):
         parse_index("1/0")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--what", "gamma", "--alpha", "0", "--beta", "0", "--s", "0.5",
+      "--phi", "3", "--z", "9", "--k", "4"], ("--z", "--k", "--phi")),
+    (["--what", "gamma", "--alpha", "0", "--beta", "0", "--s", "0.5", "--j", "1"],
+     ("--j",)),
+    (["--what", "S_A", "--alpha", "0", "--beta", "1/2", "--z", "0.25", "--arg", "0",
+      "--s", "0.5"], ("--s",)),
+    (["--what", "S_B", "--alpha", "0", "--beta", "1/2", "--z", "4", "--arg", "0",
+      "--phi", "0.1"], ("--phi",)),
+    (["--what", "f", "--alpha", "0", "--beta", "1", "--phi", "0.1", "--r", "0"],
+     ("--r",)),
+])
+def test_eval_refuses_point_flags_its_what_does_not_read(argv, named, capsys):
+    code, out, err = run(["eval", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert all(flag in err for flag in named)
+
+
+def test_eval_point_flags_left_out_take_their_defaults(capsys):
+    # --j, --r and --k default to 1, 0 and 0 for the --what that reads them
+    s_a = ["eval", "--what", "S_A", "--alpha", "0", "--beta", "1/2", "--z", "0.25",
+           "--arg", "0"]
+    f = ["eval", "--what", "f", "--alpha", "0", "--beta", "1", "--phi", "-0.25,0.25"]
+    for short, full in ((s_a, [*s_a, "--j", "1", "--r", "0"]), (f, [*f, "--k", "0"])):
+        code, out, _ = run(short, capsys)
+        assert code == 0
+        assert (code, out) == run(full, capsys)[:2]
+
+
+def test_verify_tol_needs_a_check_that_reads_it(capsys):
+    base = ["verify", "--alpha", "0,1/2", "--beta", "1/4,3/4", "--tol", "1e-300"]
+    code, out, err = run([*base, "--checks", "stirling,pseudoreflection"], capsys)
+    assert code == 2 and out == ""
+    assert "stirling" in err and "pseudoreflection" in err
+    # a selection with a check that reads --tol runs, and that check fails
+    code, out, _ = run([*base, "--checks", "stirling,identity"], capsys)
+    assert code == 3
+    assert not json.loads(out)["gamma_identity"]["pass"]

@@ -290,3 +290,77 @@ def test_rectangular_state_matches_square_columns():
         part = transport(sys, path, Y0[:, cols])
         assert part.shape == (3, len(cols))
         assert np.max(np.abs(part - full[:, cols])) <= 1e-9 * np.max(np.abs(full))
+
+
+# --- P paths in lock step ----------------------------------------------------
+
+def _regular(n):
+    return validate_irreducible(tuple(F(k, n) for k in range(n)),
+                                tuple(F(2 * k + 1, 2 * n) for k in range(n)))
+
+
+def _radial_batch(data):
+    """Ten radial segments to the unit circle inside the branch window, five
+    from |z| = 1/2 seeded with the basis at 0 and five from |z| = 2 seeded
+    with the basis at infinity."""
+    n = data.n
+    lo = -n / 2 + n // 2
+    theta = 2 * math.pi * (lo + np.array([0.15, 0.3, 0.5, 0.7, 0.85]))
+    z0, Y0 = [], []
+    for rho, side in ((0.5, "zero"), (2.0, "infinity")):
+        basis = build_basis(data, side)
+        for t in theta:
+            z0.append(rho * cmath.exp(1j * t))
+            Y0.append(fundamental_matrix(basis, z0[-1], t))
+    z0 = np.array(z0)
+    return z0, z0 / np.abs(z0), np.stack(Y0)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_batched_radial_transport_matches_single_paths(n):
+    data = _regular(n)
+    sys = companion_system(data)
+    sing = (0.0 + 0j, sys.lam)
+    z0, z1, Y0 = _radial_batch(data)
+    batch = transport(sys, PathSpec(pieces=(segment(z0, z1, sing),), base=z0), Y0)
+    assert batch.shape == Y0.shape
+    for p in range(len(z0)):
+        single = transport(sys, PathSpec(pieces=(segment(z0[p], z1[p], sing),),
+                                         base=z0[p]), Y0[p])
+        assert np.max(np.abs(batch[p] - single)) <= 1e-12 * np.max(np.abs(single))
+
+
+def test_batch_with_one_path_inside_the_margin_is_refused():
+    sys = companion_system(_regular(3))
+    z0 = np.array([0.5, 0.5j, -0.5 + 0.1j])
+    z1 = np.array([0.9j, 0.7 + 0.7j, sys.lam + 5e-4])
+    with pytest.raises(SingularityApproach):
+        PathSpec(pieces=(segment(z0, z1, (0.0 + 0j, sys.lam)),), base=z0)
+
+
+def test_batch_with_one_point_at_lambda_raises():
+    data = _regular(3)
+    sys = companion_system(data)
+    z0 = np.array([0.5j, sys.lam * (1 - 1e-9), -0.5j])
+    z1 = np.array([0.9j, 0.5 * sys.lam, -0.9j])
+    # margin 0 lets the path through, so the point test in apply must stop it
+    path = PathSpec(pieces=(segment(z0, z1, (0.0 + 0j, sys.lam)),), base=z0,
+                    margin=0.0)
+    with pytest.raises(EvaluationNearSingularity):
+        transport(sys, path, np.stack([np.eye(3, dtype=complex)] * 3))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_apply_matches_dense_per_path(n):
+    rng = np.random.default_rng(10 + n)
+    sys = companion_system(_regular(n))
+    z = np.array([0.3, -0.5 + 0.2j, 2.0 - 1.5j, 0.99j, -3.0])
+    for cols in (1, n, n + 3):
+        M = rng.normal(size=(len(z), n, cols)) + 1j * rng.normal(size=(len(z), n, cols))
+        out = sys.apply(z, M)
+        for p in range(len(z)):
+            ref = sys.coefficient_matrix(z[p]) @ M[p]
+            assert np.max(np.abs(out[p] - ref)) <= 1e-14 * np.max(np.abs(ref))
+    with pytest.raises(EvaluationNearSingularity):
+        sys.apply(np.append(z, sys.lam + 1e-9), np.ones((len(z) + 1, n, 1)))
+
