@@ -237,6 +237,8 @@ def replication_identity_check(data: ExponentData, l: int | None = None,
     for phi in phis:
         if not lo < phi < hi:
             raise ValueError(f"phi={phi} outside the branch window ({lo}, {hi})")
+    if not sides:
+        return VerificationReport()
 
     if n <= 3:
         # f_k(phi) = h(phi - l + k), shared between the two sides; one
