@@ -18,7 +18,11 @@ its weights decay doubly exponentially toward both ends, so the trapezoid
 rule in t absorbs the algebraic endpoint behavior (1/2 -+ phi)^(beta_i -
 alpha_i) of the factors without knowing the exponents.  Each level
 compares a coarse and a fine step and raises QuadratureError when they
-disagree beyond the tolerance.
+disagree beyond the tolerance.  The two steps share every other coarse
+node bit for bit, so a level evaluates its integrand once, on the union
+of the two node sets, and reads both sums off that evaluation.  The
+two-factor kernel folds its mirrored integrand onto the non-negative
+nodes and sums its rows in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -99,34 +103,64 @@ def _endpoint_rule(npts: int, panel: float, vmax: float):
             np.concatenate([w[::-1], [step * 0.5 * math.pi], w]))
 
 
+@lru_cache(maxsize=64)
+def _level_rule(quad: QuadratureParams, check: bool = True):
+    """One level's node set on (-1, 1) and the weights of its passes.
+
+    With ``check`` the nodes are the sorted union of the coarse and the
+    fine rule, and the (N, 2) weight matrix holds each rule's weights on
+    its own nodes and zero elsewhere, so one evaluation of the integrand
+    gives both sums.  Nodes are merged only when bit-identical (the
+    default rules share every even coarse node: 153 nodes instead of
+    77 + 115).  Without ``check`` it is the fine rule alone, (N, 1).
+    Both rules are mirrored exactly, so the union is too.
+    """
+    npts = (quad.points, quad.refine_points) if check else (quad.refine_points,)
+    rules = [_endpoint_rule(m, quad.panel, quad.vmax) for m in npts]
+    x = np.unique(np.concatenate([r[0] for r in rules]))
+    W = np.zeros((len(x), len(rules)))
+    for col, (xr, wr) in enumerate(rules):
+        W[np.searchsorted(x, xr), col] = wr
+    # every caller shares the cached arrays
+    x.setflags(write=False)
+    W.setflags(write=False)
+    return x, W
+
+
+def _disagreement(coarse, fine, tol: float, where: str = "") -> None:
+    """Raise QuadratureError when the two passes differ beyond ``tol``,
+    or when either is nan or infinite."""
+    err = float(np.max(np.abs(coarse - fine)))
+    if not err <= tol:
+        raise QuadratureError(f"quadrature disagreement {err:.3e} > {tol:.1e}{where}")
+
+
 def endpoint_nodes(a: float, b: float, quad: QuadratureParams):
-    """Two node/weight sets (coarse, fine) clustered at the endpoints of (a, b)."""
+    """Nodes clustered at the endpoints of (a, b) and their (N, 2) weights.
+
+    The nodes are the union of the coarse and the fine rule (see
+    :func:`_level_rule`); column 0 of the weights is the coarse rule,
+    column 1 the fine one, each zero off its own nodes.
+    """
     if not b > a:
         raise ValueError("need b > a")
-    mid = 0.5 * (a + b)
+    x, W = _level_rule(quad)
     half = 0.5 * (b - a)
-    out = []
-    for npts in (quad.points, quad.refine_points):
-        x, w = _endpoint_rule(npts, quad.panel, quad.vmax)
-        out.append((mid + half * x, half * w))
-    return out
+    return 0.5 * (a + b) + half * x, half * W
 
 
 def quad_endpoint(f, a: float, b: float, quad: QuadratureParams) -> complex:
     """Integrate f over (a, b) with endpoint-clustered nodes.
 
     Substitutes u = mid + half*tanh(pi/2 sinh t) and applies the
-    trapezoid rule in t; f must accept an ndarray of interior points.
-    Raises QuadratureError when the refinement pass moves the result by
-    more than quad.tol.
+    trapezoid rule in t; f must accept an ndarray of interior points and
+    is called once, on the union of the coarse and fine nodes.  Raises
+    QuadratureError when the refinement pass moves the result by more
+    than quad.tol.
     """
-    (uc, wc), (uf, wf) = endpoint_nodes(a, b, quad)
-    coarse = np.sum(wc * f(uc))
-    fine = np.sum(wf * f(uf))
-    if abs(coarse - fine) > quad.tol:
-        raise QuadratureError(
-            f"quadrature disagreement {abs(coarse - fine):.3e} > {quad.tol:.1e}"
-        )
+    u, W = endpoint_nodes(a, b, quad)
+    coarse, fine = f(u) @ W
+    _disagreement(coarse, fine, quad.tol)
     return complex(fine)
 
 
@@ -200,7 +234,9 @@ def h_convolution(data: ExponentData, phi, quad: QuadratureParams | None = None)
     return vals[0] if scalar else vals
 
 
-_CHUNK = 8192
+#: rows of w per block of :func:`_conv2_batch`: a block's (rows, nodes)
+#: temporaries stay in cache (about 0.3 MB each at the default rules)
+_CHUNK = 512
 
 
 def _conv2_batch(pair1, pair2, ws, quad: QuadratureParams,
@@ -215,9 +251,16 @@ def _conv2_batch(pair1, pair2, ws, quad: QuadratureParams,
     (B the 2 cos(pi phi) bases, theta the phases of :func:`h_single`).
     The interval's midpoint is w/2, so on the mirrored rule B2 is B1 at
     the mirrored node, and the part of theta that is the same at every
-    node leaves the sum.
-    With ``check`` off only the fine pass runs (the nested triple
-    convolution does its own coarse/fine comparison one level up).
+    node leaves the sum.  What is left of theta is odd in the node, so
+    the sum folds onto the non-negative nodes x:
+    ((m(x) + m(-x)) cos theta) @ w + i ((m(x) - m(-x)) sin theta) @ w,
+    m the magnitude, with the centre weight halved; cos and sin are
+    taken on half the nodes.
+    With ``check`` the coarse and the fine pass are read off one
+    evaluation on the union of their nodes (:func:`_level_rule`) and
+    compared; with it off only the fine pass runs (the nested triple
+    convolution does its own coarse/fine comparison one level up).  The
+    rows are summed in blocks of ``_CHUNK``.
     """
     ws = np.atleast_1d(np.asarray(ws, dtype=float)).ravel()
     out = np.zeros(ws.shape, dtype=complex)
@@ -229,29 +272,28 @@ def _conv2_batch(pair1, pair2, ws, quad: QuadratureParams,
     g1, g2 = b1 - a1, b2 - a2
     c1, c2 = math.pi * (a1 + b1), math.pi * (a2 + b2)
     scale = reciprocal_gamma(g1 + 1.0) * reciprocal_gamma(g2 + 1.0)
-    rules = (quad.points, quad.refine_points) if check else (quad.refine_points,)
+    x, W = _level_rule(quad, check)
+    centre = len(x) // 2
+    x = x[centre:]
+    W = W[centre:].copy()
+    W[0] *= 0.5
     for start in range(0, len(sel), _CHUNK):
         idx = sel[start:start + _CHUNK]
         mid = 0.5 * ws[idx]
         half = 0.5 * (hi[idx] - lo[idx])
-        passes = []
-        for npts in rules:
-            x, w = _endpoint_rule(npts, quad.panel, quad.vmax)
-            hx = half[:, None] * x[None, :]
-            with np.errstate(divide="ignore"):
-                logb = np.log(np.maximum(2.0 * np.cos(math.pi * (mid[:, None] + hx)), 0.0))
-            # w - u = mid - half*x is u at the mirrored node
-            mag = np.exp(g1 * logb + g2 * logb[:, ::-1])
-            phase = (c1 - c2) * hx
-            total = (mag * np.cos(phase)) @ w + 1j * ((mag * np.sin(phase)) @ w)
-            passes.append(scale * half * np.exp(1j * (c1 + c2) * mid) * total)
+        hx = half[:, None] * x[None, :]
+        with np.errstate(divide="ignore"):
+            # u = mid + hx and its mirror w - u = mid - hx
+            logp = np.log(np.maximum(2.0 * np.cos(math.pi * (mid[:, None] + hx)), 0.0))
+            logm = np.log(np.maximum(2.0 * np.cos(math.pi * (mid[:, None] - hx)), 0.0))
+        mag_p = np.exp(g1 * logp + g2 * logm)
+        mag_m = np.exp(g1 * logm + g2 * logp)
+        phase = (c1 - c2) * hx
+        total = ((mag_p + mag_m) * np.cos(phase)) @ W + 1j * (((mag_p - mag_m) * np.sin(phase)) @ W)
+        passes = (scale * half * np.exp(1j * (c1 + c2) * mid))[:, None] * total
         if check:
-            err = float(np.max(np.abs(passes[0] - passes[1])))
-            if err > quad.tol:
-                raise QuadratureError(
-                    f"quadrature disagreement {err:.3e} > {quad.tol:.1e}"
-                )
-        out[idx] = passes[-1]
+            _disagreement(passes[:, 0], passes[:, 1], quad.tol)
+        out[idx] = passes[:, -1]
     return out
 
 
@@ -261,9 +303,10 @@ def _conv3_batch(pairs, phis, quad: QuadratureParams) -> np.ndarray:
     The outer u-integral over the first factor's support is split at the
     one interior kink u = phi - round(phi) where the inner two-factor
     convolution crosses a breakpoint; both split points are affine in
-    phi, so each of the two sub-segments batches across the whole array.
-    The outer level runs the coarse and the fine step of ``quad``; the
-    inner two-factor level runs its fine step only.
+    phi, so the two sub-segments of the whole array take one batch.  The
+    outer level evaluates its integrand once, on the union of the coarse
+    and the fine nodes of ``quad`` (:func:`_level_rule`), and compares the
+    two sums; the inner two-factor level runs its fine step only.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float)).ravel()
     out = np.zeros(phis.shape, dtype=complex)
@@ -273,33 +316,23 @@ def _conv3_batch(pairs, phis, quad: QuadratureParams) -> np.ndarray:
     if len(sel) == 0:
         return out
     a1, b1 = pairs[0]
+    phis = phis[sel]
 
     # interior kinks of u -> g23(phi - u) at u = phi - w, w in {-1, 0, 1}
-    cut = phis[sel] - np.round(phis[sel])
-    cut = np.clip(cut, lo[sel], hi[sel])
-    edges = (lo[sel], cut, hi[sel])
-
-    totals = []
-    for npts in (quad.points, quad.refine_points):
-        x, w = _endpoint_rule(npts, quad.panel, quad.vmax)
-        total = np.zeros(len(sel), dtype=complex)
-        for seg in range(2):
-            a_edge, b_edge = edges[seg], edges[seg + 1]
-            width = b_edge - a_edge
-            live = width > 1e-15
-            mid = 0.5 * (a_edge + b_edge)
-            half = 0.5 * width
-            U = mid[:, None] + half[:, None] * x[None, :]
-            W = phis[sel][:, None] - U
-            g23 = _conv2_batch(pairs[1], pairs[2], W.ravel(), quad,
-                               check=False).reshape(W.shape)
-            vals = h_single(a1, b1, U) * g23
-            total += np.where(live, half * (vals @ w), 0.0)
-        totals.append(total)
-    err = float(np.max(np.abs(totals[0] - totals[1])))
-    if err > quad.tol:
-        raise QuadratureError(f"quadrature disagreement {err:.3e} > {quad.tol:.1e}")
-    out[sel] = totals[1]
+    cut = np.clip(phis - np.round(phis), lo[sel], hi[sel])
+    # rows: segment (lo, cut) then (cut, hi), each over the selected phi
+    a_edge = np.stack([lo[sel], cut])
+    b_edge = np.stack([cut, hi[sel]])
+    half = 0.5 * (b_edge - a_edge)
+    x, W = _level_rule(quad)
+    U = 0.5 * (a_edge + b_edge)[..., None] + half[..., None] * x
+    g23 = _conv2_batch(pairs[1], pairs[2], (phis[:, None] - U).ravel(), quad,
+                       check=False).reshape(U.shape)
+    sums = np.where((b_edge - a_edge > 1e-15)[..., None],
+                    half[..., None] * ((h_single(a1, b1, U) * g23) @ W), 0.0)
+    coarse, fine = (sums[0] + sums[1]).T
+    _disagreement(coarse, fine, quad.tol)
+    out[sel] = fine
     return out
 
 
@@ -385,34 +418,25 @@ def ft_residuals(data: ExponentData, s_values,
 
     The transform integral is taken piece by piece (the pieces' endpoints
     are the kink points of h), each with endpoint-adapted quadrature.
-    The kernel values at the quadrature nodes are shared across all the
-    requested transform points, which is what makes the n = 3 nested
-    convolution affordable.
+    The kernel is evaluated once per piece, on the union of the coarse
+    and fine nodes, and those values are shared across all the requested
+    transform points, which is what makes the n = 3 nested convolution
+    affordable; the sums for every s come from one product per piece.
     """
     quad = quad or DEFAULT_QUAD
     n = data.n
     if n > 3:
         raise PreconditionError("direct Fourier check is limited to n <= 3")
     _require_smooth(data)
-    pieces = []
+    s_arr = np.array([complex(s) for s in s_values], dtype=complex)
+    sums = np.zeros((len(s_arr), 2), dtype=complex)
     for k in range(n):
-        a, b = piece_interval(n, k)
-        (uc, wc), (uf, wf) = endpoint_nodes(a, b, quad)
-        hc = h_convolution(data, uc, quad)
-        hf = h_convolution(data, uf, quad)
-        pieces.append((uc, wc * hc, uf, wf * hf))
+        u, W = endpoint_nodes(*piece_interval(n, k), quad)
+        hw = h_convolution(data, u, quad)[:, None] * W
+        sums += np.exp((-2j * math.pi * u)[None, :] * s_arr[:, None]) @ hw
     out = []
-    for s in s_values:
-        s = complex(s)
-        coarse = 0.0 + 0.0j
-        fine = 0.0 + 0.0j
-        for uc, whc, uf, whf in pieces:
-            coarse += np.sum(whc * np.exp(-2j * math.pi * uc * s))
-            fine += np.sum(whf * np.exp(-2j * math.pi * uf * s))
-        if abs(coarse - fine) > quad.tol:
-            raise QuadratureError(
-                f"quadrature disagreement {abs(coarse - fine):.3e} at s={s}"
-            )
+    for s, (coarse, fine) in zip(s_arr, sums):
+        _disagreement(coarse, fine, quad.tol, f" at s={s}")
         ref = balanced_gamma(data, s)
         out.append(abs(fine - ref) / (1.0 + abs(ref)))
     return out

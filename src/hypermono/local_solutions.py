@@ -123,26 +123,33 @@ def eval_series(s: SolutionSeries, z: complex, arg: float | None = None,
     return complex(eval_derivatives(s, z, arg, (dorder,))[0])
 
 
-def eval_derivatives(s: SolutionSeries, z: complex, arg: float | None,
-                     dorders) -> np.ndarray:
+def eval_derivatives(s: SolutionSeries, z, arg, dorders) -> np.ndarray:
     """Values of D**d S for each d in ``dorders``, from one pass over the terms.
 
-    The terms are summed a block at a time (first the jet table, then
-    blocks of doubling length) as a (row, term) array.  Each row stops
-    where the tail rule alone would stop it: after TAIL_RUN consecutive
-    terms below TAIL_RTOL times the largest partial sum so far, so each
-    row stops at the same term whichever other rows are asked for.
+    ``z`` and ``arg`` are one point or (P,) arrays of points, giving shape
+    (len(dorders),) or (P, len(dorders)).  Every (point, order) pair is a
+    row, and the terms are summed a block at a time (first the jet table,
+    then blocks of doubling length) as a (row, term) array.  Each row
+    stops where the tail rule alone would stop it: after TAIL_RUN
+    consecutive terms below TAIL_RTOL times the largest partial sum so
+    far, so each row stops at the same term whichever other rows are
+    asked for.
     """
-    logz = _log_point(s, z, arg)
+    if np.shape(arg) != np.shape(z):
+        raise ValueError("pass one arg per point")
+    logz = [_log_point(s, zp, ap) for zp, ap in zip(np.atleast_1d(z), np.atleast_1d(arg))]
     dorders = np.asarray(dorders, dtype=int)
-    rows = len(dorders)
+    P, D = len(logz), len(dorders)
+    rows = P * D
     sign = 1 if s.side == "zero" else -1
     t0 = float(s.representative)
-    coef, expo, mix = _row_tables(s.r, dorders, logz / (2j * math.pi))
+    tables = [_row_tables(s.r, dorders, lz / (2j * math.pi)) for lz in logz]
+    coef, expo, _ = tables[0]
+    mix = np.stack([t[2] for t in tables])
 
     # z**(sign*l + t0), advanced multiplicatively over l
-    zpow = cmath.exp(t0 * logz)
-    zstep = cmath.exp(sign * logz)
+    zpow = np.array([cmath.exp(t0 * lz) for lz in logz])
+    zstep = np.array([cmath.exp(sign * lz) for lz in logz])
     total = np.zeros(rows, dtype=complex)
     scale = np.zeros(rows)
     run = np.zeros(rows, dtype=int)
@@ -153,13 +160,14 @@ def eval_derivatives(s: SolutionSeries, z: complex, arg: float | None,
         hi = min(hi, HARD_CAP + 1)
         jets = s.block(lo, hi)
         x = sign * np.arange(lo, hi) + t0
-        zp = np.cumprod(np.concatenate(([zpow], np.full(hi - lo - 1, zstep))))
-        # W[l, q] is the q-th weighted B column of _row_tables at term l
+        zp = np.cumprod(np.column_stack([zpow, np.repeat(zstep[:, None], hi - lo - 1, axis=1)]),
+                        axis=1)
+        # W[p, l, q] is the q-th weighted B column of _row_tables at term l
         W = jets @ mix
-        terms = np.zeros((rows, hi - lo), dtype=complex)
-        for q in range(mix.shape[1]):
-            terms += coef[:, q, None] * x ** expo[:, q, None] * W[:, q]
-        terms *= zp
+        terms = np.zeros((P, D, hi - lo), dtype=complex)
+        for q in range(mix.shape[2]):
+            terms += coef[:, q, None] * x ** expo[:, q, None] * W[:, None, :, q]
+        terms = (terms * zp[:, None, :]).reshape(rows, hi - lo)
         sums = np.cumsum(np.column_stack([total, terms]), axis=1)[:, 1:]
         scales = np.maximum.accumulate(np.column_stack([scale, np.abs(sums)]), axis=1)[:, 1:]
         # the tail test only starts once something nonzero has appeared:
@@ -174,9 +182,9 @@ def eval_derivatives(s: SolutionSeries, z: complex, arg: float | None,
         out[stop] = sums[stop, hit[stop].argmax(axis=1)]
         done |= stop
         if done.all():
-            return out
+            return out.reshape(np.shape(z) + (D,))
         total, scale, run = sums[:, -1], scales[:, -1], runs[:, -1]
-        zpow = zp[-1] * zstep
+        zpow = zp[:, -1] * zstep
         lo, hi = hi, 2 * hi
     raise ConvergenceError(f"series did not converge within {HARD_CAP} terms")
 

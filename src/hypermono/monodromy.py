@@ -162,8 +162,7 @@ def _radial_seeds(data: ExponentData, side: str, phis,
     theta = 2 * np.pi * np.asarray(phis, dtype=float)
     z1 = np.exp(1j * theta)
     z0 = (0.5 if side == "A" else 2.0) * z1
-    Y0 = [fundamental_matrix(basis, z, t) for z, t in zip(z0.flat, theta.flat)]
-    return z0, z1, np.reshape(Y0, theta.shape + (data.n, data.n))
+    return z0, z1, fundamental_matrix(basis, z0, theta)
 
 
 def _transport_radial(data: ExponentData, z0, z1, Y0) -> np.ndarray:

@@ -303,10 +303,14 @@ def base_angle(data: ExponentData, l: int | None = None) -> float:
     return 2 * math.pi * (-n / 2.0 + l + 0.5)
 
 
-def fundamental_matrix(series: list[SolutionSeries], z: complex, arg: float) -> np.ndarray:
-    """Columns are the basis solutions as (u, Du, ..., D^(n-1) u) vectors."""
+def fundamental_matrix(series: list[SolutionSeries], z, arg) -> np.ndarray:
+    """Columns are the basis solutions as (u, Du, ..., D^(n-1) u) vectors.
+
+    ``z`` and ``arg`` are one point, giving (n, n), or (P,) arrays of
+    points, giving (P, n, n) from one pass per series.
+    """
     n = len(series)
-    return np.column_stack([eval_derivatives(s, z, arg, range(n)) for s in series])
+    return np.stack([eval_derivatives(s, z, arg, range(n)) for s in series], axis=-1)
 
 
 def _sing_set(sys: OdeSystem) -> tuple[complex, ...]:

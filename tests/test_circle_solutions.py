@@ -321,3 +321,133 @@ def test_endpoint_rule_is_interior_and_mirrored(npts, panel, vmax):
     assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
     if npts >= 12:
         assert abs(np.sum(w) - 2.0) <= 1e-14
+
+
+_UNION_RULES = [QuadratureParams(),
+                QuadratureParams(points=2, refine_points=18, panel=4.0, vmax=8.0)]
+
+
+@pytest.mark.parametrize("quad", _UNION_RULES)
+@pytest.mark.parametrize("a, b", [(-0.5, 0.5), (0.3, 1.1)])
+def test_union_nodes_give_each_rules_sum(quad, a, b):
+    from hypermono.circle_solutions import _endpoint_rule, endpoint_nodes
+
+    integrands = (lambda u: np.exp(3j * u) / (2.0 + u),
+                  lambda u: (b - u) ** 0.25 * (u - a) ** 1.5 * np.exp(1j * u))
+    u, W = endpoint_nodes(a, b, quad)
+    assert W.shape == (len(u), 2) and np.all(np.diff(u) > 0)
+    for f in integrands:
+        vals = f(u)
+        for col, npts in enumerate((quad.points, quad.refine_points)):
+            x, w = _endpoint_rule(npts, quad.panel, quad.vmax)
+            half = 0.5 * (b - a)
+            ref = np.sum(half * w * f(0.5 * (a + b) + half * x))
+            assert abs(vals @ W[:, col] - ref) <= 1e-15 * abs(ref)
+
+
+def test_default_union_shares_the_even_coarse_nodes():
+    # 77 coarse + 115 fine nodes, 39 of them bit-identical
+    from hypermono.circle_solutions import _level_rule
+
+    x, W = _level_rule(QuadratureParams())
+    assert len(x) == 153 and W.shape == (153, 2)
+    assert np.count_nonzero(W[:, 0]) == 77 and np.count_nonzero(W[:, 1]) == 115
+    assert np.array_equal(x[::-1], -x)
+    fine_only, W1 = _level_rule(QuadratureParams(), check=False)
+    assert len(fine_only) == 115 and W1.shape == (115, 1)
+
+
+def _conv2_unfolded(pair1, pair2, ws, quad, check=True):
+    """Two-factor convolution summed over every node of each rule, with
+    no fold and no row blocks: the reference for :func:`_conv2_batch`."""
+    from hypermono.circle_solutions import _endpoint_rule
+    from hypermono.gammaprod import reciprocal_gamma
+
+    ws = np.asarray(ws, dtype=float)
+    out = np.zeros(ws.shape, dtype=complex)
+    lo = np.maximum(-0.5, ws - 0.5)
+    hi = np.minimum(0.5, ws + 0.5)
+    idx = np.flatnonzero(hi - lo > 1e-15)
+    (a1, b1), (a2, b2) = pair1, pair2
+    g1, g2 = b1 - a1, b2 - a2
+    c1, c2 = math.pi * (a1 + b1), math.pi * (a2 + b2)
+    scale = reciprocal_gamma(g1 + 1.0) * reciprocal_gamma(g2 + 1.0)
+    mid = 0.5 * ws[idx]
+    half = 0.5 * (hi[idx] - lo[idx])
+    passes = []
+    for npts in ((quad.points, quad.refine_points) if check else (quad.refine_points,)):
+        x, w = _endpoint_rule(npts, quad.panel, quad.vmax)
+        hx = half[:, None] * x[None, :]
+        with np.errstate(divide="ignore"):
+            logb = np.log(np.maximum(2.0 * np.cos(math.pi * (mid[:, None] + hx)), 0.0))
+        mag = np.exp(g1 * logb + g2 * logb[:, ::-1])
+        phase = (c1 - c2) * hx
+        total = (mag * np.cos(phase)) @ w + 1j * ((mag * np.sin(phase)) @ w)
+        passes.append(scale * half * np.exp(1j * (c1 + c2) * mid) * total)
+    out[idx] = passes[-1]
+    return out, passes
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_folded_conv2_matches_unfolded_sum(check):
+    from hypermono.circle_solutions import _conv2_batch
+
+    quad = QuadratureParams()
+    rng = np.random.default_rng(7)
+    ws = np.concatenate([c + np.array([-1e-3, -1e-6, 1e-6, 1e-3]) for c in (-1.0, 0.0, 1.0)]
+                        + [rng.uniform(-1.0, 1.0, 200)])
+    ws = ws[np.abs(ws) < 1.0]
+    for pair1, pair2 in (((0.0, 0.125), (1 / 3, 11 / 24)), ((0.25, 1.5), (-0.5, 0.75))):
+        mine = _conv2_batch(pair1, pair2, ws, quad, check=check)
+        ref, _ = _conv2_unfolded(pair1, pair2, ws, quad, check=check)
+        assert np.all(np.abs(mine - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_conv2_checked_pass_compares_the_same_two_sums():
+    # a rule pair that fails the check fails it by the unfolded disagreement
+    from hypermono.circle_solutions import _conv2_batch
+
+    quad = QuadratureParams(points=2, refine_points=18, panel=4.0, vmax=8.0, tol=1e-12)
+    pair1, pair2 = (0.0, 0.125), (1 / 3, 11 / 24)
+    ws = np.array([0.3])
+    _, (coarse, fine) = _conv2_unfolded(pair1, pair2, ws, quad)
+    err = abs(coarse[0] - fine[0])
+    assert err > quad.tol
+    with pytest.raises(QuadratureError) as exc:
+        _conv2_batch(pair1, pair2, ws, quad)
+    assert float(str(exc.value).split()[2]) == pytest.approx(err, rel=1e-3)
+
+
+def test_conv2_row_blocks_never_mix_rows():
+    from hypermono.circle_solutions import _CHUNK, _conv2_batch
+
+    quad = QuadratureParams()
+    ws = np.random.default_rng(11).uniform(-1.2, 1.2, 2000)
+    assert len(ws) > 3 * _CHUNK
+    pair1, pair2 = (0.0, 0.375), (0.2, 0.9)
+    batch = _conv2_batch(pair1, pair2, ws, quad)
+    split = np.concatenate([_conv2_batch(pair1, pair2, part, quad)
+                            for part in np.array_split(ws, 37)])
+    assert np.all(np.abs(batch - split) <= 1e-15 * np.abs(split))
+    assert np.all(batch[np.abs(ws) >= 1.0] == 0)
+
+
+def test_ft_residuals_evaluate_each_piece_once(monkeypatch):
+    import hypermono.circle_solutions as cs
+
+    calls = []
+    real = cs.h_convolution
+    monkeypatch.setattr(cs, "h_convolution",
+                        lambda data, phi, quad=None: calls.append(len(phi)) or real(data, phi, quad))
+    data = validate_irreducible((F(0), F(0)), (F(3, 4), F(5, 4)))
+    res = cs.ft_residuals(data, [-2, 0, 1, 1j, 2j])
+    assert calls == [153, 153] and max(res) <= 1e-6
+
+
+def test_quadrature_check_refuses_nan_and_inf():
+    quad = QuadratureParams()
+    with pytest.raises(QuadratureError):
+        quad_endpoint(lambda u: np.full(u.shape, np.nan), -0.5, 0.5, quad)
+    # infinite at every node: both sums are infinite, their difference nan
+    with pytest.raises(QuadratureError), np.errstate(invalid="ignore"):
+        quad_endpoint(lambda u: np.full(u.shape, np.inf), -0.5, 0.5, quad)

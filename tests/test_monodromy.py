@@ -287,3 +287,29 @@ def test_replication_under_resolved_quadrature_raises(alpha, beta):
     quad = QuadratureParams(points=2, refine_points=18, panel=4.0, vmax=8.0, tol=1e-12)
     with pytest.raises(QuadratureError):
         replication_identity_check(data, quad=quad)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_radial_seeds_batch_matches_pointwise_fundamental_matrices(n, side):
+    # the seeds of all phi come from one pass per series; each row keeps
+    # its own tail stop, so they equal one fundamental_matrix call per point
+    from hypermono.local_solutions import build_basis
+    from hypermono.monodromy import _radial_seeds
+    from hypermono.ode_oracle import fundamental_matrix
+
+    data = validate_irreducible(tuple(F(k, n) for k in range(n)),
+                                tuple(F(2 * k + 1, 2 * n) for k in range(n)))
+    lo = -n / 2 + default_branch(data)
+    phis = lo + np.array([0.15, 0.3, 0.5, 0.7, 0.85])
+    basis = build_basis(data, "zero" if side == "A" else "infinity")
+    z0, _, Y0 = _radial_seeds(data, side, phis, basis)
+    assert Y0.shape == (5, n, n)
+    single = np.stack([fundamental_matrix(basis, z, 2 * np.pi * p)
+                       for z, p in zip(z0, phis)])
+    assert np.max(np.abs(Y0 - single)) <= 1e-14 * np.max(np.abs(single))
+    with pytest.raises(ValueError):
+        fundamental_matrix(basis, z0, 2 * np.pi * phis[0])
+    # a scalar phi keeps scalar points and an (n, n) seed
+    z0s, _, Y0s = _radial_seeds(data, side, phis[2], basis)
+    assert np.ndim(z0s) == 0 and Y0s.shape == (n, n)
