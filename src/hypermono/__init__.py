@@ -26,7 +26,6 @@ from .gammaprod import (
     balanced_gamma_jet,
     gamma_identity_residual,
     reciprocal_gamma,
-    set_precision,
     get_precision,
 )
 from .report import VerificationReport

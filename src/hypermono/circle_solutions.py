@@ -360,14 +360,13 @@ def piece_interval(n: int, k: int) -> tuple[float, float]:
 
 
 def f_piece(data: ExponentData, k: int, phi_grid,
-            quad: QuadratureParams | None = None,
-            cheb_degree: int = 64) -> CircleSample:
+            quad: QuadratureParams | None = None) -> CircleSample:
     """Piece f_k sampled on a grid strictly inside its interval.
 
     In the smooth regime this is the convolution directly; otherwise the
-    shifted smooth kernel is interpolated by a Chebyshev polynomial on a
-    slightly larger sub-interval and the operator R((1/2 pi i) d/dphi) is
-    applied by spectral differentiation.
+    shifted smooth kernel is interpolated by a degree-64 Chebyshev
+    polynomial on a slightly larger sub-interval and the operator
+    R((1/2 pi i) d/dphi) is applied by spectral differentiation.
     """
     quad = quad or DEFAULT_QUAD
     n = data.n
@@ -375,7 +374,7 @@ def f_piece(data: ExponentData, k: int, phi_grid,
     grid = np.asarray(phi_grid, dtype=float)
     if grid.ndim == 0:
         grid = grid[None]
-    if np.any(grid <= a) or np.any(grid >= b):
+    if not np.all((a < grid) & (grid < b)):
         raise ValueError(f"grid must lie strictly inside ({a}, {b})")
 
     if n > 3:
@@ -397,7 +396,7 @@ def f_piece(data: ExponentData, k: int, phi_grid,
     pad = 0.1 * (grid.max() - grid.min() + 1e-3)
     lo = max(a + 0.01, grid.min() - pad)
     hi = min(b - 0.01, grid.max() + pad)
-    deg = cheb_degree
+    deg = 64
     nodes = np.cos((2 * np.arange(deg + 1) + 1) * math.pi / (2 * (deg + 1)))
     xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
     fvals = h_convolution(shifted, xs, quad)

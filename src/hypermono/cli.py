@@ -10,6 +10,7 @@ reads, and the handlers read the parsed ``argparse.Namespace`` directly.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -20,9 +21,7 @@ import numpy as np
 
 from . import circle_solutions, gammaprod, local_solutions, matrices, monodromy, ode_oracle
 from .exponents import (
-    LengthMismatchError,
     MultiplicityStructure,
-    ResonantPairError,
     group_exponents,
     parse_index_list,
     raw_exponent_data,
@@ -48,6 +47,8 @@ EVAL_POINT_FLAGS = {
     "f": ("k", "phi"),
 }
 
+#: caught before input errors (any other ValueError): SingularMatrixError
+#: is a ValueError too
 NUMERICAL_ERRORS = (
     circle_solutions.QuadratureError,
     local_solutions.ConvergenceError,
@@ -56,17 +57,16 @@ NUMERICAL_ERRORS = (
     ode_oracle.SingularityApproach,
 )
 
-INPUT_ERRORS = (
-    ResonantPairError,
-    LengthMismatchError,
-    circle_solutions.PreconditionError,
-    local_solutions.BranchRequiredError,
-    ValueError,
-)
+
+def _finite(x, flag: str):
+    """x (a float or complex), unless a part of it is infinite or NaN."""
+    if not cmath.isfinite(x):
+        raise ValueError(f"{flag} must be finite, got {x}")
+    return x
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace("i", "j").replace(" ", ""))
+def _parse_complex(text: str, flag: str) -> complex:
+    return _finite(complex(text.replace("i", "j").replace(" ", "")), flag)
 
 
 def _emit(payload, out: str | None, fmt: str = "json") -> None:
@@ -118,7 +118,7 @@ def _check_ft(data, tol) -> VerificationReport:
 
 def _check_cyclic(ns: argparse.Namespace, tol) -> VerificationReport:
     if ns.A_values:
-        values = [_parse_complex(v) for v in ns.A_values.split(",")]
+        values = [_parse_complex(v, "--A") for v in ns.A_values.split(",")]
         mults = [int(m) for m in ns.m_values.split(",")] if ns.m_values else None
         ms = MultiplicityStructure.from_values(values, mults)
     else:
@@ -232,24 +232,26 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         if ns.s is None:
             raise ValueError("--what gamma requires --s")
         stexts = ns.s.split(",")
-        values = gammaprod.balanced_gamma(data, [_parse_complex(t) for t in stexts])
+        values = gammaprod.balanced_gamma(data, [_parse_complex(t, "--s") for t in stexts])
         rows += [(t, v.real, v.imag) for t, v in zip(stexts, values.tolist())]
     elif ns.what in ("S_A", "S_B"):
         data = _data_from(ns)
         if ns.z is None or ns.arg is None:
             raise ValueError(f"--what {ns.what} requires --z and --arg")
+        z = _parse_complex(ns.z, "--z")
+        arg = _finite(ns.arg, "--arg")
         side = "zero" if ns.what == "S_A" else "infinity"
         basis = local_solutions.build_basis(data, side)
         series = next((s for s in basis if s.j == j and s.r == r), None)
         if series is None:
             raise ValueError(f"no basis element (j={j}, r={r})")
-        v = local_solutions.eval_series(series, _parse_complex(ns.z), ns.arg)
+        v = local_solutions.eval_series(series, z, arg)
         rows.append((ns.z, v.real, v.imag))
     else:
         data = _data_from(ns, require_irreducible=False)
         if ns.phi is None:
             raise ValueError("--what f requires --phi")
-        grid = [float(p) for p in ns.phi.split(",")]
+        grid = [_finite(float(p), "--phi") for p in ns.phi.split(",")]
         sample = circle_solutions.f_piece(data, k, grid)
         for p, v in zip(sample.grid, sample.values):
             rows.append((p, v.real, v.imag))
@@ -347,8 +349,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     ns = parser.parse_args(_join_value_flags(list(argv)))
-    if getattr(ns, "tol", None) is not None and ns.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if getattr(ns, "tol", None) is not None and not 0 < ns.tol < float("inf"):
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_INPUT
     handler = {
         "compute": cmd_compute,
@@ -365,7 +367,7 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except INPUT_ERRORS as exc:
+    except ValueError as exc:  # bad flag values, resonant indices, unmet preconditions
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

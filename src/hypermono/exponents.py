@@ -124,7 +124,6 @@ class MultiplicityStructure:
     values: tuple[complex, ...]
     multiplicities: tuple[int, ...]
     representatives: tuple[Index, ...] | None
-    side: str
 
     def __post_init__(self):
         if len(set(self.values)) != len(self.values):
@@ -147,15 +146,13 @@ class MultiplicityStructure:
 
     @classmethod
     def from_values(cls, values: Sequence[complex],
-                    multiplicities: Sequence[int] | None = None,
-                    side: str = "values") -> "MultiplicityStructure":
+                    multiplicities: Sequence[int] | None = None) -> "MultiplicityStructure":
         """Build a structure from raw distinct values (CLI cyclic checks)."""
         vals = tuple(complex(v) for v in values)
         mults = tuple(multiplicities) if multiplicities else (1,) * len(vals)
         if len(mults) != len(vals):
             raise ValueError("multiplicities and values length mismatch")
-        return cls(values=vals, multiplicities=mults,
-                   representatives=None, side=side)
+        return cls(values=vals, multiplicities=mults, representatives=None)
 
 
 def _exact_index(x, earlier: Sequence[Index]) -> Index:
@@ -228,5 +225,4 @@ def group_exponents(data: ExponentData, side: str) -> MultiplicityStructure:
         values=tuple(e[2] for e in entries),
         multiplicities=tuple(e[1] for e in entries),
         representatives=tuple(e[0] for e in entries),
-        side=side,
     )

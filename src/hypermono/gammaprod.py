@@ -23,13 +23,17 @@ An optional extended-precision mode (about 30 significant digits, via
 mpmath) can be switched on for oracle comparisons that want headroom.  It
 covers the products of 2n factors, ``balanced_gamma`` and
 ``balanced_gamma_jets``, whose results are rounded back to complex128 on
-return; a single reciprocal gamma is always scipy's.
+return; a single reciprocal gamma is always scipy's.  The mode is held in
+a context variable whose only writer is ``precision_context``, so it
+belongs to the context (thread or task) that set it; a new thread starts
+in double precision.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,34 +53,28 @@ __all__ = [
     "gamma_identity_residual",
     "stirling_bound_check",
     "pw_growth_check",
-    "set_precision",
     "get_precision",
     "precision_context",
 ]
 
-_PRECISION = "double"
+_PRECISION: ContextVar[str] = ContextVar("hypermono_precision", default="double")
 _EXTENDED_DPS = 30
 
 
-def set_precision(mode: str) -> None:
-    global _PRECISION
-    if mode not in ("double", "extended"):
-        raise ValueError(f"precision must be 'double' or 'extended', got {mode!r}")
-    _PRECISION = mode
-
-
 def get_precision() -> str:
-    return _PRECISION
+    return _PRECISION.get()
 
 
 @contextmanager
 def precision_context(mode: str):
-    old = get_precision()
-    set_precision(mode)
+    """Run the body in precision ``mode`` ('double' or 'extended')."""
+    if mode not in ("double", "extended"):
+        raise ValueError(f"precision must be 'double' or 'extended', got {mode!r}")
+    token = _PRECISION.set(mode)
     try:
         yield
     finally:
-        set_precision(old)
+        _PRECISION.reset(token)
 
 
 def reciprocal_gamma(s: complex) -> complex:
@@ -278,19 +276,17 @@ def stirling_bound_check(s_grid, C: float) -> VerificationReport:
     return report
 
 
-def pw_growth_check(data: ExponentData, ymax: float = 40.0,
-                    slope_bound: float | None = None) -> VerificationReport:
+def pw_growth_check(data: ExponentData, ymax: float = 40.0) -> VerificationReport:
     """Growth of log|G(iy)| along the imaginary axis.
 
     The product of 2n reciprocal gammas grows like exp(pi n |y|) times a
     power of |y|; the check reports the largest finite-difference slope on
-    |y| <= ymax and compares it with pi*n plus a small margin.  log|G(iy)|
+    |y| <= ymax and compares it with ``slope_bound`` = pi*n + 0.05.  log|G(iy)|
     is summed from the factors' log-gamma values, since G(iy) itself leaves
     double range at n = 6 (about e^(6 pi 40) at y = 40).
     """
     n = data.n
-    if slope_bound is None:
-        slope_bound = math.pi * n + 0.05
+    slope_bound = math.pi * n + 0.05
     ys = np.arange(1.0, ymax + 1e-9, 0.5)
     iy = 1j * ys[:, None]
     logs = -(sp.loggamma(iy - np.array(data.alpha_floats()) + 1).real.sum(axis=1)

@@ -54,10 +54,6 @@ class ComplexMatrix:
         if len(self.row_index) != e.shape[0] or len(self.col_index) != e.shape[1]:
             raise ValueError("index metadata must match the matrix size")
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
     def transpose(self) -> "ComplexMatrix":
         return ComplexMatrix(self.entries.T.copy(), self.col_index, self.row_index)
 

@@ -50,7 +50,6 @@ class MonodromyResult:
     mlambda: ComplexMatrix
     data: ExponentData
     ms_alpha: MultiplicityStructure
-    ms_beta: MultiplicityStructure
 
     def to_jsonable(self) -> dict:
         out = self.data.describe()
@@ -103,18 +102,17 @@ def monodromy_matrices(data: ExponentData, basis: str = "A",
     mlam = np.linalg.inv(minf @ m0)
     wrap = lambda M: ComplexMatrix(M, rows, rows)
     return MonodromyResult(basis=basis, l=l, m0=wrap(m0), minf=wrap(minf),
-                           mlambda=wrap(mlam), data=data,
-                           ms_alpha=ms_a, ms_beta=ms_b)
+                           mlambda=wrap(mlam), data=data, ms_alpha=ms_a)
 
 
-def pseudoreflection_check(result: MonodromyResult,
-                           sv_threshold: float = 1e-8) -> VerificationReport:
-    """rank(Mlambda - I) from singular values; passes iff the rank is 1."""
+def pseudoreflection_check(result: MonodromyResult) -> VerificationReport:
+    """rank(Mlambda - I) from singular values above 1e-8 of the largest;
+    passes iff the rank is 1."""
     n = result.data.n
     A = result.mlambda.entries - np.eye(n)
     sv = np.linalg.svd(A, compute_uv=False)
     top = sv[0]
-    rank = int(np.sum(sv > sv_threshold * top)) if top > 0 else 0
+    rank = int(np.sum(sv > 1e-8 * top)) if top > 0 else 0
     second = float(sv[1] / top) if n > 1 and top > 0 else 0.0
     report = VerificationReport()
     report.add("pseudoreflection", rank == 1, second,

@@ -89,14 +89,10 @@ class OdeSystem:
     b_coeffs: np.ndarray   # prod(D - beta_i), ascending powers of D
     lam: complex
 
-    @property
-    def dimension(self) -> int:
-        return self.data.n
-
     def coefficient_matrix(self, z: complex) -> np.ndarray:
         """The dense C(z) = N(z)/z, the definition :meth:`apply` follows."""
         z = self._regular_point(z)
-        n = self.dimension
+        n = self.data.n
         N = np.eye(n, k=1, dtype=complex)
         N[-1] = (z * self.b_coeffs[:n] - self.lam * self.a_coeffs[:n]) / (self.lam - z)
         return N / z
@@ -111,7 +107,7 @@ class OdeSystem:
         is the one-path case.
         """
         z = self._regular_point(z)
-        n = self.dimension
+        n = self.data.n
         stacked = M.ndim == 3
         w = z[:, None] if stacked else z  # (P, 1): one last row of N per path
         q = 1.0 / (self.lam - w)
@@ -236,7 +232,7 @@ _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 
 
 def _integrate_piece(sys: OdeSystem, piece: _Piece, Y: np.ndarray,
-                     rtol: float, atol: float, max_step: float) -> np.ndarray:
+                     max_step: float) -> np.ndarray:
     shape = Y.shape
     paths = shape[0] if Y.ndim == 3 else 1
     y = Y.ravel()
@@ -253,7 +249,7 @@ def _integrate_piece(sys: OdeSystem, piece: _Piece, Y: np.ndarray,
             ti = t + _DP_C[i] * step
             K[i] = (piece.dz(ti) * sys.apply(piece.z(ti), stage.reshape(shape))).ravel()
         y5 = stage  # the last stage input is the fifth-order solution
-        e = step * (_DP_E @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
+        e = step * (_DP_E @ K) / (ATOL + RTOL * np.maximum(np.abs(y), np.abs(y5)))
         # RMS of the scaled error of the worst path
         sq = (np.vdot(e, e).real if paths == 1 else
               max(np.vdot(ep, ep).real for ep in e.reshape(paths, -1)))
@@ -273,9 +269,10 @@ def _integrate_piece(sys: OdeSystem, piece: _Piece, Y: np.ndarray,
     return y.reshape(shape)
 
 
-def transport(sys: OdeSystem, path: PathSpec, Y0: ComplexMatrix | np.ndarray,
-              rtol: float = RTOL, atol: float = ATOL) -> np.ndarray:
-    """Continue the fundamental matrix Y0 along the path.
+def transport(sys: OdeSystem, path: PathSpec,
+              Y0: ComplexMatrix | np.ndarray) -> np.ndarray:
+    """Continue the fundamental matrix Y0 along the path, to ``RTOL`` and
+    ``ATOL``.
 
     Y0 of shape (n, m) follows a path of single curves.  Y0 of shape
     (P, n, m) follows a path of pieces built from (P,) arrays of
@@ -289,18 +286,17 @@ def transport(sys: OdeSystem, path: PathSpec, Y0: ComplexMatrix | np.ndarray,
         span = np.abs(piece.dz(0.5)).ravel()
         caps = np.maximum(0.05 * piece.closest, 0.005) / np.maximum(span, 1e-12)
         max_step = min(1.0, float(np.min(caps)), 0.2)
-        Y = _integrate_piece(sys, piece, Y, rtol, atol, max_step)
+        Y = _integrate_piece(sys, piece, Y, max_step)
     return Y
 
 
 # --- loops and seeded fundamental matrices -----------------------------------
 
-def base_angle(data: ExponentData, l: int | None = None) -> float:
-    """Center of the branch-l window as an angle: phi0 = -n/2 + l + 1/2."""
+def base_angle(data: ExponentData) -> float:
+    """Center of the default branch window (l = n // 2) as an angle:
+    phi0 = -n/2 + l + 1/2."""
     n = data.n
-    if l is None:
-        l = n // 2
-    return 2 * math.pi * (-n / 2.0 + l + 0.5)
+    return 2 * math.pi * (-n / 2.0 + n // 2 + 0.5)
 
 
 def fundamental_matrix(series: list[SolutionSeries], z, arg) -> np.ndarray:
@@ -324,23 +320,24 @@ def _loop_zero(sys: OdeSystem, rho: float, theta: float) -> PathSpec:
                     base=base)
 
 
-def _loop_lambda(sys: OdeSystem, rho: float, theta: float, r_small: float = 0.4) -> PathSpec:
+def _loop_lambda(sys: OdeSystem, rho: float, theta: float) -> PathSpec:
     """Based loop around lambda realizing Mlambda Minf M0 = I.
 
     Out along the base ray to the staging circle, counterclockwise along it
-    to the lambda side, a counterclockwise circle of radius r_small around
+    to the lambda side, a counterclockwise circle of radius 0.4 around
     lambda, and back the same way.  The bare petal (the shortest staging
     arc) composes as Minf Mlambda M0 = I instead; taking the staging arc
     one counterclockwise turn further conjugates it into the advertised
     convention (checked against the closed-form matrices in the test
-    suite).  The base must lie inside the staging circle, whose radius is
-    1 - r_small, so that the turn encloses 0 and not lambda.
+    suite).  The base must lie inside the staging circle, of radius 0.6,
+    so that the turn encloses 0 and not lambda.
     """
     sing = _sing_set(sys)
     lam = sys.lam
     theta_lam = cmath.phase(lam)
     base = rho * cmath.exp(1j * theta)
-    mid_r = 1.0 - r_small  # radius of the staging circle, 0.6 for |lambda| = 1
+    r_small = 0.4
+    mid_r = 1.0 - r_small  # radius of the staging circle
     p1 = mid_r * cmath.exp(1j * theta)
     # the shortest angular route from theta to the lambda ray plus one
     # turn: counterclockwise, between pi and 3 pi
@@ -354,11 +351,12 @@ def _loop_lambda(sys: OdeSystem, rho: float, theta: float, r_small: float = 0.4)
     ), base=base)
 
 
-def _loop_infinity(sys: OdeSystem, rho: float, theta: float, R: float = 3.0) -> PathSpec:
-    """Radial out to |z| = R, a clockwise full circle (counterclockwise in
+def _loop_infinity(sys: OdeSystem, rho: float, theta: float) -> PathSpec:
+    """Radial out to |z| = 3, a clockwise full circle (counterclockwise in
     the 1/z chart), and radially back."""
     sing = _sing_set(sys)
     base = rho * cmath.exp(1j * theta)
+    R = 3.0
     far = R * cmath.exp(1j * theta)
     return PathSpec(pieces=(
         segment(base, far, sing),
@@ -369,8 +367,7 @@ def _loop_infinity(sys: OdeSystem, rho: float, theta: float, R: float = 3.0) -> 
 
 def loop_monodromy(sys: OdeSystem, data: ExponentData, around,
                    base: complex | None = None,
-                   basis: list[SolutionSeries] | None = None,
-                   rtol: float = RTOL) -> ComplexMatrix:
+                   basis: list[SolutionSeries] | None = None) -> ComplexMatrix:
     """Monodromy of the loop around one singular point, in the basis of the
     local solutions at 0 (or at infinity when seeded with a 'B' basis).
 
@@ -398,7 +395,7 @@ def loop_monodromy(sys: OdeSystem, data: ExponentData, around,
     else:
         raise ValueError(f"around must be 0, 'lambda' or 'infinity', got {around!r}")
 
-    Y1 = transport(sys, path, Y0, rtol=rtol)
+    Y1 = transport(sys, path, Y0)
     M = np.linalg.solve(Y0, Y1)
     pairs = ms.pair_indices()
     return ComplexMatrix(M, pairs, pairs)
@@ -406,9 +403,9 @@ def loop_monodromy(sys: OdeSystem, data: ExponentData, around,
 
 # --- conjugacy-invariant comparison -------------------------------------------
 
-def jordan_rank_sequence(M: np.ndarray, eigenvalue: complex, depth: int,
-                         tol: float = 1e-6) -> list[int]:
-    """Numerical ranks of (M - e I)^p for p = 1..depth."""
+def jordan_rank_sequence(M: np.ndarray, eigenvalue: complex, depth: int) -> list[int]:
+    """Numerical ranks of (M - e I)^p for p = 1..depth, counting singular
+    values above 1e-6 of max(largest, 1)."""
     n = M.shape[0]
     A = M - eigenvalue * np.eye(n)
     out = []
@@ -417,15 +414,16 @@ def jordan_rank_sequence(M: np.ndarray, eigenvalue: complex, depth: int,
         P = P @ A
         sv = np.linalg.svd(P, compute_uv=False)
         top = sv[0] if sv[0] > 0 else 1.0
-        out.append(int(np.sum(sv > tol * max(top, 1.0))))
+        out.append(int(np.sum(sv > 1e-6 * max(top, 1.0))))
     return out
 
 
-def numerical_rank(M: np.ndarray, rel_tol: float = 1e-8) -> int:
+def numerical_rank(M: np.ndarray) -> int:
+    """Count of singular values above 1e-8 of the largest."""
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[0] == 0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > 1e-8 * sv[0]))
 
 
 def compare_invariants(algebraic, numeric_pair, tol: float = 1e-6) -> VerificationReport:
@@ -443,14 +441,11 @@ def compare_invariants(algebraic, numeric_pair, tol: float = 1e-6) -> Verificati
     Ml_alg = algebraic.mlambda.entries
     report = VerificationReport()
 
-    r0 = float(np.max(np.abs(char_poly(M0_alg) - char_poly(M0_num))))
-    report.add("charpoly_M0", r0 <= tol, r0)
-    rl = float(np.max(np.abs(char_poly(Ml_alg) - char_poly(Ml_num))))
-    report.add("charpoly_Mlambda", rl <= tol, rl)
-    prod_alg = algebraic.minf.entries @ M0_alg
-    prod_num = np.linalg.inv(Ml_num)
-    rp = float(np.max(np.abs(char_poly(prod_alg) - char_poly(prod_num))))
-    report.add("charpoly_product", rp <= tol, rp)
+    for name, alg, num in (("M0", M0_alg, M0_num), ("Mlambda", Ml_alg, Ml_num),
+                           ("product", algebraic.minf.entries @ M0_alg,
+                            np.linalg.inv(Ml_num))):
+        r = float(np.max(np.abs(char_poly(alg) - char_poly(num))))
+        report.add(f"charpoly_{name}", r <= tol, r)
 
     n = M0_num.shape[0]
     rank_alg = numerical_rank(Ml_alg - np.eye(n))

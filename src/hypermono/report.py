@@ -25,9 +25,8 @@ class VerificationReport:
     def add(self, name: str, passed: bool, residual: float, **details) -> None:
         self.checks[name] = CheckOutcome(bool(passed), float(residual), details)
 
-    def merge(self, other: "VerificationReport", prefix: str = "") -> None:
-        for name, outcome in other.checks.items():
-            self.checks[prefix + name] = outcome
+    def merge(self, other: "VerificationReport") -> None:
+        self.checks.update(other.checks)
 
     def max_residual(self) -> float:
         return max((c.residual for c in self.checks.values()), default=0.0)

@@ -218,6 +218,14 @@ def test_f_piece_rejects_outside_grid():
         f_piece(data, 0, [0.0, 0.7])
 
 
+def test_f_piece_rejects_nan_grid_points():
+    # NaN fails every comparison, so the window test must ask for each
+    # point to lie inside rather than for none to lie outside
+    data = validate_irreducible((F(0),), (F(1, 2),))
+    with pytest.raises(ValueError):
+        f_piece(data, 0, [0.0, float("nan")])
+
+
 def test_f_piece_large_n_transport_route():
     data = validate_irreducible(
         (F(0), F(1, 4), F(1, 2), F(3, 4)), (F(1, 8), F(3, 8), F(5, 8), F(7, 8))

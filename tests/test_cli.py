@@ -304,3 +304,25 @@ def test_verify_tol_needs_a_check_that_reads_it(capsys):
     code, out, _ = run([*base, "--checks", "stirling,identity"], capsys)
     assert code == 3
     assert not json.loads(out)["gamma_identity"]["pass"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--checks", "identity", "--alpha", "0", "--beta", "1/2",
+      "--tol", "nan"], "--tol"),
+    (["verify", "--checks", "identity", "--alpha", "0", "--beta", "1/2",
+      "--tol", "inf"], "--tol"),
+    (["eval", "--what", "f", "--alpha", "0", "--beta", "1", "--k", "0",
+      "--phi", "0.1,nan"], "--phi"),
+    (["eval", "--what", "gamma", "--alpha", "0", "--beta", "0", "--s", "nan"], "--s"),
+    (["eval", "--what", "gamma", "--alpha", "0", "--beta", "0", "--s", "1e400"], "--s"),
+    (["eval", "--what", "S_A", "--alpha", "0", "--beta", "1/2", "--z", "nan",
+      "--arg", "0"], "--z"),
+    (["eval", "--what", "S_A", "--alpha", "0", "--beta", "1/2", "--z", "0.25",
+      "--arg", "-inf"], "--arg"),
+    (["verify", "--checks", "cyclic", "--A", "nan,2"], "--A"),
+])
+def test_non_finite_flag_values_exit_2(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert flag in err

@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -301,3 +302,31 @@ def test_jet_rejects_negative_order():
     d = validate_irreducible((F(0),), (F(1, 2),))
     with pytest.raises(ValueError):
         balanced_gamma_jet(d, F(0), -1, 0)
+
+
+def test_precision_mode_belongs_to_the_context_that_set_it():
+    # a thread started inside precision_context runs in a fresh context
+    seen = []
+    with precision_context("extended"):
+        t = threading.Thread(target=lambda: seen.append(get_precision()))
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert get_precision() == "extended"
+    assert seen == ["double"]
+
+
+def test_precision_mode_restored_when_the_body_raises():
+    with pytest.raises(RuntimeError):
+        with precision_context("extended"):
+            raise RuntimeError("body failed")
+    assert get_precision() == "double"
+
+
+def test_unknown_precision_mode_is_refused_and_changes_nothing():
+    with precision_context("extended"):
+        with pytest.raises(ValueError):
+            with precision_context("quad"):
+                pass
+        assert get_precision() == "extended"
+    assert get_precision() == "double"
