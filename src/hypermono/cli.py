@@ -48,11 +48,12 @@ EVAL_POINT_FLAGS = {
 }
 
 #: caught before input errors (any other ValueError): SingularMatrixError
-#: is a ValueError too
+#: and numpy's LinAlgError are ValueErrors too
 NUMERICAL_ERRORS = (
     circle_solutions.QuadratureError,
     local_solutions.ConvergenceError,
     matrices.SingularMatrixError,
+    np.linalg.LinAlgError,
     ode_oracle.StepFailure,
     ode_oracle.SingularityApproach,
 )
@@ -66,7 +67,16 @@ def _finite(x, flag: str):
 
 
 def _parse_complex(text: str, flag: str) -> complex:
-    return _finite(complex(text.replace("i", "j").replace(" ", "")), flag)
+    """``text`` as a finite complex number; a trailing i is the imaginary
+    unit, as j is for ``complex``."""
+    s = text.replace(" ", "")
+    if s.endswith("i"):
+        s = s[:-1] + "j"
+    try:
+        value = complex(s)
+    except ValueError:
+        raise ValueError(f"{flag} must be a complex number, got {text!r}") from None
+    return _finite(value, flag)
 
 
 def _emit(payload, out: str | None, fmt: str = "json") -> None:

@@ -8,25 +8,23 @@ coefficient matrix analytic away from 0 and lambda:
     (z b_k - lambda a_k) / (lambda - z).
 
 This is the companion-form reduction Beukers and Heckman (1989) use for
-these operators.  The right-hand side never forms C: ``OdeSystem.apply``
-returns C(z) @ M as the shift M[1:] above one product of the last row of
-N with M, scaled by 1/z (``coefficient_matrix`` stays as the dense
-definition).
+these operators.  The oracle reads only the D-polynomial coefficients a
+and b and lambda; ``coefficient_matrix`` is the dense definition of C.
 
-Transport along paths is an embedded Dormand-Prince 5(4) pair with PI
-step control on the full fundamental matrix.  The state is flattened and
-the seven stage derivatives K are kept as the rows of one (7, Y.size)
-array, so each stage input is a single product of a tableau row with the
-earlier stages, the error estimate is (B5 - B4) @ K, and the fifth-order
-solution is the seventh stage input (first same as last).
+The coefficients are polynomial, so the system is D-finite: at a regular
+point z0 the Taylor coefficients of the fundamental matrix obey a
+three-term recurrence (``OdeSystem.recurrence``; van der Hoeven 1999,
+Theor. Comput. Sci. 230), whose series converges in the disc reaching to
+the nearest of 0 and lambda.  ``transport`` continues Y along a path by
+steps of at most half that radius, each the sum of the scaled terms
+Y_k (z1 - z0)^k until three consecutive terms are negligible.  A step
+whose sum does not stop within ``MAX_TERMS`` terms raises ``StepFailure``.
 
 The same loop carries P paths in lock step: a ``segment`` built from (P,)
 arrays of endpoints holds P parallel curves, the state is (P, n, m), and
-``apply`` takes the P points at once.  The paths share every step.  A step
-is accepted only if the worst path's RMS scaled error is at most 1, and
-the step cap is the smallest of the paths' own caps, so no path takes a
-larger or looser step than it would alone.  One path (a 2-D state) is the
-case P = 1.
+the recurrence takes the P points at once.  The paths share every step,
+whose parameter length is the smallest any of them allows.  One path (a
+2-D state) is the case P = 1.
 
 Loops around 0, lambda and infinity are built from circles and radial
 segments based at a point where the local series converge, so the
@@ -64,8 +62,14 @@ __all__ = [
 ]
 
 SING_MARGIN = 1e-3
-RTOL = 1e-11
-ATOL = 1e-13
+#: a Taylor step covers at most this fraction of the distance to {0, lambda}
+STEP_FRACTION = 0.5
+#: a term is negligible below this fraction of the partial sum's column
+TERM_RTOL = 1e-16
+#: a step's sum stops after this many consecutive negligible terms
+TAIL_TERMS = 3
+#: a step whose sum has not stopped after this many terms fails
+MAX_TERMS = 200
 
 
 class EvaluationNearSingularity(ValueError):
@@ -73,7 +77,8 @@ class EvaluationNearSingularity(ValueError):
 
 
 class StepFailure(RuntimeError):
-    """Adaptive step size collapsed without meeting the tolerance."""
+    """A transport step's Taylor series did not converge within
+    ``MAX_TERMS`` terms."""
 
 
 class SingularityApproach(RuntimeError):
@@ -90,38 +95,48 @@ class OdeSystem:
     lam: complex
 
     def coefficient_matrix(self, z: complex) -> np.ndarray:
-        """The dense C(z) = N(z)/z, the definition :meth:`apply` follows."""
+        """The dense C(z) = N(z)/z, the definition :meth:`recurrence`
+        follows."""
         z = self._regular_point(z)
         n = self.data.n
         N = np.eye(n, k=1, dtype=complex)
         N[-1] = (z * self.b_coeffs[:n] - self.lam * self.a_coeffs[:n]) / (self.lam - z)
         return N / z
 
-    def apply(self, z, M: np.ndarray) -> np.ndarray:
-        """C(z) @ M from the companion structure, without forming C: the
-        shift M[1:] above one product of the last row of N with M, all
-        scaled by 1/z.
+    def recurrence(self, z0) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
+        """The Taylor recurrence at the regular point z0, as a function
+        (k, Y_k, Y_(k-1)) -> Y_(k+1) of the coefficients of Y = sum Y_k t^k,
+        t = z - z0.
 
-        For P paths in lock step, z has shape (P,) and M shape (P, n, m),
-        and row p of the result is C(z[p]) @ M[p]; a scalar z with a 2-D M
-        is the one-path case.
+        Times q(z) = z (lambda - z) the system reads q Y' = P(z) Y, with
+        P(z) = (lambda - z) S + e_n (z b - lambda a) and S the shift, so
+
+            q0 (k+1) Y_(k+1) = (P0 - q1 k) Y_k + (P1 + k - 1) Y_(k-1),
+
+        q0 = q(z0), q1 = lambda - 2 z0, P0 = P(z0) and P1 = -S + e_n b.
+        P is never formed: the shift of (lambda - z0) Y_k - Y_(k-1) plus
+        the diagonal terms, and one row product each of Y_k and Y_(k-1)
+        into the last row.
+
+        For paths in lock step, z0 has shape (P,) and the coefficients
+        shape (P, n, m); a scalar z0 with 2-D coefficients is one path.
         """
-        z = self._regular_point(z)
+        z0 = self._regular_point(z0)
         n = self.data.n
-        stacked = M.ndim == 3
-        w = z[:, None] if stacked else z  # (P, 1): one last row of N per path
-        q = 1.0 / (self.lam - w)
-        row = (w * q) * self.b_coeffs[:n] - (self.lam * q) * self.a_coeffs[:n]
-        out = np.empty(M.shape, dtype=complex)
-        if stacked:
-            out[:, :-1] = M[:, 1:]
-            out[:, -1] = (row[:, None, :] @ M)[:, 0]
-            out *= (1.0 / z)[:, None, None]
-        else:
-            out[:-1] = M[1:]
-            out[-1] = row @ M
-            out *= 1.0 / z
-        return out
+        lam, b = self.lam, self.b_coeffs[:n]
+        w = np.asarray(z0)[..., None, None]  # (1, 1), or (P, 1, 1) per path
+        gap = lam - w
+        q1 = lam - 2 * w
+        inv_q0 = 1.0 / (w * gap)
+        row0 = (w[..., 0] * b - lam * self.a_coeffs[:n])[..., None, :]  # last row of P0
+
+        def next_coefficient(k: int, Yk: np.ndarray, Yprev: np.ndarray) -> np.ndarray:
+            out = (k - 1) * Yprev - (k * q1) * Yk
+            out[..., :-1, :] += gap * Yk[..., 1:, :] - Yprev[..., 1:, :]
+            out[..., -1, :] += (row0 @ Yk)[..., 0, :] + b @ Yprev
+            return out * (inv_q0 / (k + 1))
+
+        return next_coefficient
 
     def _regular_point(self, z):
         """z as a complex number, or a complex array of path points, once
@@ -148,14 +163,12 @@ def companion_system(data: ExponentData) -> OdeSystem:
 
 @dataclass(frozen=True)
 class _Piece:
-    """One curve, or P curves in lock step: z(t) is then a (P,) array and
-    dz(t) a (P, 1, 1) array that scales the stacked (P, n, m) state."""
+    """One curve z(t), t in [0, 1], or P curves in lock step: z(t) is then
+    a (P,) array, and so are ``length`` and ``closest``."""
 
     z: Callable[[float], complex | np.ndarray]
-    dz: Callable[[float], complex | np.ndarray]
-    # distance of the piece (of each of its curves) to the singular set,
-    # for step caps
-    closest: float | np.ndarray
+    length: float | np.ndarray  # arc length of each curve
+    closest: float | np.ndarray  # distance of each curve to the singular set
 
 
 def segment(z0, z1, sing: tuple[complex, ...]) -> _Piece:
@@ -163,13 +176,10 @@ def segment(z0, z1, sing: tuple[complex, ...]) -> _Piece:
     (P,), give P parallel segments traversed in lock step."""
     if np.ndim(z0) or np.ndim(z1):
         z0, z1 = np.asarray(z0, dtype=complex), np.asarray(z1, dtype=complex)
-        w = (z1 - z0)[:, None, None]
-        dz = lambda t: w
     else:
         z0, z1 = complex(z0), complex(z1)
-        dz = lambda t: (z1 - z0)
     d = np.min([_dist_segment(z0, z1, s) for s in sing], axis=0)
-    return _Piece(z=lambda t: z0 + t * (z1 - z0), dz=dz, closest=d)
+    return _Piece(z=lambda t: z0 + t * (z1 - z0), length=np.abs(z1 - z0), closest=d)
 
 
 def arc(center: complex, radius: float, theta0: float, theta1: float,
@@ -180,12 +190,8 @@ def arc(center: complex, radius: float, theta0: float, theta1: float,
         th = theta0 + t * (theta1 - theta0)
         return center + radius * cmath.exp(1j * th)
 
-    def dz(t):
-        th = theta0 + t * (theta1 - theta0)
-        return radius * 1j * (theta1 - theta0) * cmath.exp(1j * th)
-
     d = min(abs(abs(s - center) - radius) for s in sing)
-    return _Piece(z=z, dz=dz, closest=d)
+    return _Piece(z=z, length=radius * abs(theta1 - theta0), closest=d)
 
 
 def _dist_segment(z0, z1, p: complex):
@@ -212,81 +218,58 @@ class PathSpec:
                 )
 
 
-# --- Dormand-Prince 5(4) -----------------------------------------------------
+# --- Taylor steps ------------------------------------------------------------
 
-# Butcher tableau as arrays; row 6 of A equals B5 (first same as last)
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-
-
-def _integrate_piece(sys: OdeSystem, piece: _Piece, Y: np.ndarray,
-                     max_step: float) -> np.ndarray:
-    shape = Y.shape
-    paths = shape[0] if Y.ndim == 3 else 1
-    y = Y.ravel()
-    K = np.empty((7, y.size), dtype=complex)  # stage derivatives as rows
-    t = 0.0
-    h = min(max_step, 1e-2)
-    err_prev = 1.0
-    K[0] = (piece.dz(t) * sys.apply(piece.z(t), Y)).ravel()
-    while t < 1.0 - 1e-14:
-        last = t + h >= 1.0
-        step = 1.0 - t if last else h
-        for i in range(1, 7):
-            stage = y + step * (_DP_A[i, :i] @ K[:i])
-            ti = t + _DP_C[i] * step
-            K[i] = (piece.dz(ti) * sys.apply(piece.z(ti), stage.reshape(shape))).ravel()
-        y5 = stage  # the last stage input is the fifth-order solution
-        e = step * (_DP_E @ K) / (ATOL + RTOL * np.maximum(np.abs(y), np.abs(y5)))
-        # RMS of the scaled error of the worst path
-        sq = (np.vdot(e, e).real if paths == 1 else
-              max(np.vdot(ep, ep).real for ep in e.reshape(paths, -1)))
-        err = math.sqrt(sq / (e.size // paths))
-        if err <= 1.0:
-            t = 1.0 if last else t + step
-            y = y5
-            K[0] = K[6]  # FSAL
-            # PI controller
-            fac = 0.9 * err ** -0.7 * err_prev ** 0.4 if err > 0 else 5.0
-            err_prev = max(err, 1e-10)
-            h = min(max_step, h * min(5.0, max(0.2, fac)))
+def _taylor_step(expand, Y: np.ndarray, h) -> np.ndarray:
+    """Y continued from z0 to z0 + h: the sum of the scaled terms Y_k h^k,
+    with ``expand`` the recurrence at z0, stopped once ``TAIL_TERMS``
+    consecutive terms are below ``TERM_RTOL`` of the partial sum in every
+    column."""
+    term, prev = Y, np.zeros_like(Y)
+    total = Y.copy()
+    quiet = 0
+    for k in range(MAX_TERMS):
+        # h^(k+1) Y_(k+1) from h^k Y_k and h^k Y_(k-1)
+        term, prev = h * expand(k, term, h * prev), term
+        total += term
+        if np.all(np.abs(term).max(axis=-2) <= TERM_RTOL * np.abs(total).max(axis=-2)):
+            quiet += 1
+            if quiet == TAIL_TERMS:
+                return total
         else:
-            h = step * max(0.2, 0.9 * err ** -0.25)
-            if h < 1e-12:
-                raise StepFailure("step size underflow during transport")
-    return y.reshape(shape)
+            quiet = 0
+    raise StepFailure(f"Taylor series of a transport step did not converge "
+                      f"within {MAX_TERMS} terms")
 
 
 def transport(sys: OdeSystem, path: PathSpec,
               Y0: ComplexMatrix | np.ndarray) -> np.ndarray:
-    """Continue the fundamental matrix Y0 along the path, to ``RTOL`` and
-    ``ATOL``.
+    """Continue the fundamental matrix Y0 along the path by Taylor steps.
+
+    Each step moves z by an arc length of at most ``STEP_FRACTION`` of the
+    distance from z to {0, lambda}, the convergence radius of the series
+    there, so the chord it sums along stays inside that disc.
 
     Y0 of shape (n, m) follows a path of single curves.  Y0 of shape
     (P, n, m) follows a path of pieces built from (P,) arrays of
-    endpoints: state p moves along curve p, all P in lock step.
+    endpoints: state p moves along curve p, all P in lock step, with the
+    parameter step the smallest the P curves allow.
     """
     Y = Y0.entries.copy() if isinstance(Y0, ComplexMatrix) else np.array(Y0, dtype=complex)
     for piece in path.pieces:
-        # pole-adjacent stiffness: cap the parameter step so that the z-step
-        # stays below about a twentieth of the distance to the singular set;
-        # stacked curves share the smallest of their caps
-        span = np.abs(piece.dz(0.5)).ravel()
-        caps = np.maximum(0.05 * piece.closest, 0.005) / np.maximum(span, 1e-12)
-        max_step = min(1.0, float(np.min(caps)), 0.2)
-        Y = _integrate_piece(sys, piece, Y, max_step)
+        length = np.atleast_1d(piece.length)
+        moving = length > 0
+        if not moving.any():
+            continue
+        t, z = 0.0, piece.z(0.0)
+        while t < 1.0:
+            reach = STEP_FRACTION * np.minimum(np.abs(z), np.abs(z - sys.lam))
+            dt = float(np.min(np.atleast_1d(reach)[moving] / length[moving]))
+            t = 1.0 if dt >= 1.0 - t else t + dt
+            z1 = piece.z(t)
+            h = np.asarray(z1 - z)[..., None, None]  # (1, 1), or (P, 1, 1)
+            Y = _taylor_step(sys.recurrence(z), Y, h)
+            z = z1
     return Y
 
 

@@ -153,6 +153,23 @@ def test_oracle_command(capsys):
     assert all(v["pass"] for v in payload.values())
 
 
+def test_oracle_singular_transported_matrix_exits_3(capsys):
+    # the transported M_lambda is numerically singular here; numpy's
+    # LinAlgError is a ValueError but not an input error
+    code, out, err = run(["oracle", "--alpha", "0,1e-10", "--beta", "1/4,1/2"], capsys)
+    assert code == 3 and out == ""
+    assert "numerical failure" in err
+
+
+def test_oracle_step_over_the_term_cap_exits_3(capsys, monkeypatch):
+    from hypermono import ode_oracle
+
+    monkeypatch.setattr(ode_oracle, "MAX_TERMS", 4)
+    code, out, err = run(["oracle", "--alpha", "0,1/2", "--beta", "1/4,3/4"], capsys)
+    assert code == 3 and out == ""
+    assert "numerical failure" in err and "4 terms" in err
+
+
 @pytest.mark.parametrize("command", ["compute", "verify", "oracle"])
 def test_csv_format_is_eval_only(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -320,6 +337,12 @@ def test_verify_tol_needs_a_check_that_reads_it(capsys):
     (["eval", "--what", "S_A", "--alpha", "0", "--beta", "1/2", "--z", "0.25",
       "--arg", "-inf"], "--arg"),
     (["verify", "--checks", "cyclic", "--A", "nan,2"], "--A"),
+    # spellings with an i, and text that is no number at all
+    (["eval", "--what", "gamma", "--alpha", "0", "--beta", "0", "--s", "inf"], "--s"),
+    (["eval", "--what", "gamma", "--alpha", "0", "--beta", "0", "--s", "1+infi"], "--s"),
+    (["eval", "--what", "gamma", "--alpha", "0", "--beta", "0", "--s", "1+2k"], "--s"),
+    (["eval", "--what", "S_A", "--alpha", "0", "--beta", "1/2", "--z", "infinity",
+      "--arg", "0"], "--z"),
 ])
 def test_non_finite_flag_values_exit_2(argv, flag, capsys):
     code, out, err = run(argv, capsys)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -54,6 +55,18 @@ def test_companion_poles_only_at_0_and_lambda():
         sys.coefficient_matrix(sys.lam + 1e-9)
 
 
+def _dense_next(sys, z0, k, Yk, Yprev):
+    """Y_(k+1) of the Taylor recurrence at z0 from the dense C(z): P(z) =
+    z (lambda - z) C(z) is affine in z, so P1 is a difference quotient."""
+    n = sys.data.n
+    P = lambda z: z * (sys.lam - z) * sys.coefficient_matrix(z)
+    z1 = z0 + 0.25j
+    P0, P1 = P(z0), (P(z1) - P(z0)) / (z1 - z0)
+    q0, q1 = z0 * (sys.lam - z0), sys.lam - 2 * z0
+    I = np.eye(n)
+    return ((P0 - q1 * k * I) @ Yk + (P1 + (k - 1) * I) @ Yprev) / (q0 * (k + 1))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_structured_product_matches_dense(n):
     rng = np.random.default_rng(n)
@@ -61,25 +74,32 @@ def test_structured_product_matches_dense(n):
     data = validate_irreducible(tuple(idx), tuple(F(2 * k + 1, 16) for k in range(n)))
     sys = companion_system(data)
     for z in (0.3, -0.5 + 0.2j, 2.0 - 1.5j, 0.99j):
+        step = sys.recurrence(z)
         for cols in (1, n, n + 3):
-            M = rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols))
-            ref = sys.coefficient_matrix(z) @ M
-            assert np.max(np.abs(sys.apply(z, M) - ref)) <= 1e-14 * np.max(np.abs(ref))
+            Yk, Yprev = rng.normal(size=(2, n, cols)) + 1j * rng.normal(size=(2, n, cols))
+            # k = 0 is C(z) @ Y_0, the first-order Taylor coefficient
+            ref = sys.coefficient_matrix(z) @ Yk
+            first = step(0, Yk, np.zeros_like(Yk))
+            assert np.max(np.abs(first - ref)) <= 1e-14 * np.max(np.abs(ref))
+            for k in (1, 2, 7):
+                ref = _dense_next(sys, z, k, Yk, Yprev)
+                assert np.max(np.abs(step(k, Yk, Yprev) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_structured_product_rejects_singular_points():
     data = validate_irreducible((F(0), F(1, 2)), (F(1, 4), F(3, 4)))
     sys = companion_system(data)
-    M = np.eye(2, dtype=complex)
     for z in (0.0, 1e-9j, sys.lam + 1e-9):
         with pytest.raises(EvaluationNearSingularity):
-            sys.apply(z, M)
+            sys.recurrence(z)
 
 
 def test_transport_trivial_path(simple_sys):
     Y0 = np.array([[1.3 + 0.1j]])
     path = PathSpec(pieces=(segment(0.5, 0.5 + 0j, (0.0, -1.0 + 0j)),), base=0.5)
-    Y1 = transport(simple_sys, path, Y0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by the zero length
+        Y1 = transport(simple_sys, path, Y0)
     assert abs(Y1[0, 0] - Y0[0, 0]) <= 1e-12
 
 
@@ -129,26 +149,17 @@ def test_transport_groupoid_concatenation():
 
 
 def test_wronskian_abel_drift():
-    # det Y satisfies w' = tr(C) w; integrate the scalar alongside and compare
-    data = validate_irreducible((F(0), F(0)), (F(1, 4), F(1, 2)))
-    sys = companion_system(data)
-
-    class TraceSystem:
-        lam = sys.lam
-
-        def coefficient_matrix(self, z):
-            return np.array([[np.trace(sys.coefficient_matrix(z))]])
-
-        def apply(self, z, M):
-            return self.coefficient_matrix(z) @ M
-
-    Y0 = fundamental_matrix(build_basis(data, "zero"), 0.3, 0.0)
-    sing = (0.0 + 0j, sys.lam)
-    path = PathSpec(pieces=(arc(0.0, 0.3, 0.0, 2 * math.pi, sing),), base=0.3)
-    Y1 = transport(sys, path, Y0)
-    w1 = transport(TraceSystem(), path, np.array([[np.linalg.det(Y0)]]))[0, 0]
-    assert abs(np.linalg.det(Y1)) > 0
-    assert abs(np.linalg.det(Y1) - w1) <= 1e-8 * abs(w1)
+    # Abel: (det Y)' = tr C det Y with tr C = -a_(n-1)/z + (b_(n-1) - a_(n-1))/(lambda - z),
+    # so a loop multiplies det Y by exp(2 pi i sum(alpha)) around 0 and by
+    # exp(2 pi i (sum(beta) - sum(alpha))) around lambda
+    for alpha, beta in (((F(0), F(0)), (F(1, 4), F(1, 2))),
+                        ((F(1, 5), F(2, 5), F(3, 5)), (F(1, 6), F(1, 2), F(5, 6)))):
+        data = validate_irreducible(alpha, beta)
+        sys = companion_system(data)
+        sa, sb = float(sum(data.alpha)), float(sum(data.beta))
+        for around, exponent in ((0, sa), ("lambda", sb - sa)):
+            M = loop_monodromy(sys, data, around).entries  # det M = det Y1 / det Y0
+            assert abs(np.linalg.det(M) - cmath.exp(2j * math.pi * exponent)) <= 1e-8
 
 
 def test_path_margin_enforced():
@@ -271,12 +282,6 @@ def test_char_poly_of_loops_matches_exponents():
     assert np.max(np.abs(char_poly(M0) - expect)) <= 1e-8
 
 
-def test_dormand_prince_first_same_as_last():
-    from hypermono.ode_oracle import _DP_A, _DP_B5
-
-    np.testing.assert_array_equal(_DP_A[6], _DP_B5)
-
-
 def test_rectangular_state_matches_square_columns():
     data = validate_irreducible((F(0), F(1, 3), F(2, 3)), (F(1, 4), F(1, 2), F(3, 4)))
     sys = companion_system(data)
@@ -343,7 +348,8 @@ def test_batch_with_one_point_at_lambda_raises():
     sys = companion_system(data)
     z0 = np.array([0.5j, sys.lam * (1 - 1e-9), -0.5j])
     z1 = np.array([0.9j, 0.5 * sys.lam, -0.9j])
-    # margin 0 lets the path through, so the point test in apply must stop it
+    # margin 0 lets the path through, so the point test of the recurrence
+    # must stop it
     path = PathSpec(pieces=(segment(z0, z1, (0.0 + 0j, sys.lam)),), base=z0,
                     margin=0.0)
     with pytest.raises(EvaluationNearSingularity):
@@ -352,15 +358,19 @@ def test_batch_with_one_point_at_lambda_raises():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_apply_matches_dense_per_path(n):
+    # the recurrence at P points applied to stacked (P, n, m) coefficients
     rng = np.random.default_rng(10 + n)
     sys = companion_system(_regular(n))
     z = np.array([0.3, -0.5 + 0.2j, 2.0 - 1.5j, 0.99j, -3.0])
+    step = sys.recurrence(z)
     for cols in (1, n, n + 3):
-        M = rng.normal(size=(len(z), n, cols)) + 1j * rng.normal(size=(len(z), n, cols))
-        out = sys.apply(z, M)
+        shape = (2, len(z), n, cols)
+        Yk, Yprev = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        first, later = step(0, Yk, np.zeros_like(Yk)), step(3, Yk, Yprev)
         for p in range(len(z)):
-            ref = sys.coefficient_matrix(z[p]) @ M[p]
-            assert np.max(np.abs(out[p] - ref)) <= 1e-14 * np.max(np.abs(ref))
+            ref = sys.coefficient_matrix(z[p]) @ Yk[p]
+            assert np.max(np.abs(first[p] - ref)) <= 1e-14 * np.max(np.abs(ref))
+            ref = _dense_next(sys, z[p], 3, Yk[p], Yprev[p])
+            assert np.max(np.abs(later[p] - ref)) <= 1e-13 * np.max(np.abs(ref))
     with pytest.raises(EvaluationNearSingularity):
-        sys.apply(np.append(z, sys.lam + 1e-9), np.ones((len(z) + 1, n, 1)))
-
+        sys.recurrence(np.append(z, sys.lam + 1e-9))
