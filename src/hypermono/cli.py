@@ -66,16 +66,20 @@ def _finite(x, flag: str):
     return x
 
 
-def _parse_complex(text: str, flag: str) -> complex:
-    """``text`` as a finite complex number; a trailing i is the imaginary
-    unit, as j is for ``complex``."""
+_KIND_NAMES = {complex: "a complex number", float: "a real number", int: "an integer"}
+
+
+def _parse_number(text: str, flag: str, kind: type = complex):
+    """``text`` as a finite number of type ``kind`` (complex, float or int);
+    for complex, a trailing i is the imaginary unit, as j is for ``complex``.
+    Malformed text raises a ValueError that names ``flag``."""
     s = text.replace(" ", "")
-    if s.endswith("i"):
+    if kind is complex and s.endswith("i"):
         s = s[:-1] + "j"
     try:
-        value = complex(s)
+        value = kind(s)
     except ValueError:
-        raise ValueError(f"{flag} must be a complex number, got {text!r}") from None
+        raise ValueError(f"{flag} must be {_KIND_NAMES[kind]}, got {text!r}") from None
     return _finite(value, flag)
 
 
@@ -128,8 +132,9 @@ def _check_ft(data, tol) -> VerificationReport:
 
 def _check_cyclic(ns: argparse.Namespace, tol) -> VerificationReport:
     if ns.A_values:
-        values = [_parse_complex(v, "--A") for v in ns.A_values.split(",")]
-        mults = [int(m) for m in ns.m_values.split(",")] if ns.m_values else None
+        values = [_parse_number(v, "--A") for v in ns.A_values.split(",")]
+        mults = ([_parse_number(m, "--m", int) for m in ns.m_values.split(",")]
+                 if ns.m_values else None)
         ms = MultiplicityStructure.from_values(values, mults)
     else:
         ms = group_exponents(_data_from(ns), "alpha")
@@ -242,13 +247,13 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         if ns.s is None:
             raise ValueError("--what gamma requires --s")
         stexts = ns.s.split(",")
-        values = gammaprod.balanced_gamma(data, [_parse_complex(t, "--s") for t in stexts])
+        values = gammaprod.balanced_gamma(data, [_parse_number(t, "--s") for t in stexts])
         rows += [(t, v.real, v.imag) for t, v in zip(stexts, values.tolist())]
     elif ns.what in ("S_A", "S_B"):
         data = _data_from(ns)
         if ns.z is None or ns.arg is None:
             raise ValueError(f"--what {ns.what} requires --z and --arg")
-        z = _parse_complex(ns.z, "--z")
+        z = _parse_number(ns.z, "--z")
         arg = _finite(ns.arg, "--arg")
         side = "zero" if ns.what == "S_A" else "infinity"
         basis = local_solutions.build_basis(data, side)
@@ -261,7 +266,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         data = _data_from(ns, require_irreducible=False)
         if ns.phi is None:
             raise ValueError("--what f requires --phi")
-        grid = [_finite(float(p), "--phi") for p in ns.phi.split(",")]
+        grid = [_parse_number(p, "--phi", float) for p in ns.phi.split(",")]
         sample = circle_solutions.f_piece(data, k, grid)
         for p, v in zip(sample.grid, sample.values):
             rows.append((p, v.real, v.imag))

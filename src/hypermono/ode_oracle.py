@@ -16,15 +16,21 @@ point z0 the Taylor coefficients of the fundamental matrix obey a
 three-term recurrence (``OdeSystem.recurrence``; van der Hoeven 1999,
 Theor. Comput. Sci. 230), whose series converges in the disc reaching to
 the nearest of 0 and lambda.  ``transport`` continues Y along a path by
-steps of at most half that radius, each the sum of the scaled terms
-Y_k (z1 - z0)^k until three consecutive terms are negligible.  A step
-whose sum does not stop within ``MAX_TERMS`` terms raises ``StepFailure``.
+steps of at most half that radius, in three stages.  Where the steps
+start and how far they reach depend only on the path and on {0, lambda},
+never on Y, so the step points z_j and increments h_j are listed first.
+One recurrence over the whole stack of points then gives every step's
+transfer matrix T_j, the identity continued from z_j to z_j + h_j: the
+sum of the scaled terms T_k h_j^k until three consecutive terms are
+negligible, each step stopping on its own.  Last, Y <- T_j @ Y for
+j = 1..S.  A step whose sum does not stop within ``MAX_TERMS`` terms
+raises ``StepFailure``.
 
-The same loop carries P paths in lock step: a ``segment`` built from (P,)
-arrays of endpoints holds P parallel curves, the state is (P, n, m), and
-the recurrence takes the P points at once.  The paths share every step,
-whose parameter length is the smallest any of them allows.  One path (a
-2-D state) is the case P = 1.
+The same stages carry P paths in lock step: a ``segment`` built from (P,)
+arrays of endpoints holds P parallel curves, the state is (P, n, m), the
+step points have shape (S, P) and the transfer matrices (S, P, n, n).
+The paths share every step's parameter length, the smallest any of them
+allows.  One path (a 2-D state) is the case P = 1.
 
 Loops around 0, lambda and infinity are built from circles and radial
 segments based at a point where the local series converge, so the
@@ -220,42 +226,16 @@ class PathSpec:
 
 # --- Taylor steps ------------------------------------------------------------
 
-def _taylor_step(expand, Y: np.ndarray, h) -> np.ndarray:
-    """Y continued from z0 to z0 + h: the sum of the scaled terms Y_k h^k,
-    with ``expand`` the recurrence at z0, stopped once ``TAIL_TERMS``
-    consecutive terms are below ``TERM_RTOL`` of the partial sum in every
-    column."""
-    term, prev = Y, np.zeros_like(Y)
-    total = Y.copy()
-    quiet = 0
-    for k in range(MAX_TERMS):
-        # h^(k+1) Y_(k+1) from h^k Y_k and h^k Y_(k-1)
-        term, prev = h * expand(k, term, h * prev), term
-        total += term
-        if np.all(np.abs(term).max(axis=-2) <= TERM_RTOL * np.abs(total).max(axis=-2)):
-            quiet += 1
-            if quiet == TAIL_TERMS:
-                return total
-        else:
-            quiet = 0
-    raise StepFailure(f"Taylor series of a transport step did not converge "
-                      f"within {MAX_TERMS} terms")
-
-
-def transport(sys: OdeSystem, path: PathSpec,
-              Y0: ComplexMatrix | np.ndarray) -> np.ndarray:
-    """Continue the fundamental matrix Y0 along the path by Taylor steps.
+def _step_points(sys: OdeSystem, path: PathSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Start points z_j and increments h_j of every Taylor step along the
+    path, shape (S,), or (S, P) for P curves in lock step.
 
     Each step moves z by an arc length of at most ``STEP_FRACTION`` of the
     distance from z to {0, lambda}, the convergence radius of the series
-    there, so the chord it sums along stays inside that disc.
-
-    Y0 of shape (n, m) follows a path of single curves.  Y0 of shape
-    (P, n, m) follows a path of pieces built from (P,) arrays of
-    endpoints: state p moves along curve p, all P in lock step, with the
-    parameter step the smallest the P curves allow.
+    there, so the chord it sums along stays inside that disc.  In lock
+    step the parameter step is the smallest the P curves allow.
     """
-    Y = Y0.entries.copy() if isinstance(Y0, ComplexMatrix) else np.array(Y0, dtype=complex)
+    points, steps = [], []
     for piece in path.pieces:
         length = np.atleast_1d(piece.length)
         moving = length > 0
@@ -267,9 +247,65 @@ def transport(sys: OdeSystem, path: PathSpec,
             dt = float(np.min(np.atleast_1d(reach)[moving] / length[moving]))
             t = 1.0 if dt >= 1.0 - t else t + dt
             z1 = piece.z(t)
-            h = np.asarray(z1 - z)[..., None, None]  # (1, 1), or (P, 1, 1)
-            Y = _taylor_step(sys.recurrence(z), Y, h)
+            points.append(z)
+            steps.append(z1 - z)
             z = z1
+    return np.array(points, dtype=complex), np.array(steps, dtype=complex)
+
+
+def _step_matrices(sys: OdeSystem, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Transfer matrix of every step z_j -> z_j + h_j, shape (..., n, n) for
+    points of shape (...): the identity continued by the sum of the scaled
+    terms T_k h^k of the recurrence at z_j, all steps at once.
+
+    A step's sum stops once ``TAIL_TERMS`` consecutive terms are below
+    ``TERM_RTOL`` of the partial sum in every column; later terms of a
+    stopped step are not added.  A step still summing after ``MAX_TERMS``
+    terms raises ``StepFailure``.
+    """
+    n = sys.data.n
+    expand = sys.recurrence(z)
+    h = h[..., None, None]
+    term = np.broadcast_to(np.eye(n, dtype=complex), z.shape + (n, n))
+    prev = np.zeros_like(term)
+    total = term.copy()
+    quiet = np.zeros(z.shape, dtype=int)
+    summing = np.ones(z.shape, dtype=bool)
+    for k in range(MAX_TERMS):
+        # h^(k+1) T_(k+1) from h^k T_k and h^k T_(k-1)
+        term, prev = h * expand(k, term, h * prev), term
+        total += np.where(summing[..., None, None], term, 0)
+        small = np.all(np.abs(term).max(axis=-2)
+                       <= TERM_RTOL * np.abs(total).max(axis=-2), axis=-1)
+        quiet = np.where(small, quiet + 1, 0)
+        summing &= quiet < TAIL_TERMS
+        if not summing.any():
+            return total
+    raise StepFailure(f"Taylor series of a transport step did not converge "
+                      f"within {MAX_TERMS} terms")
+
+
+def transport(sys: OdeSystem, path: PathSpec,
+              Y0: ComplexMatrix | np.ndarray) -> np.ndarray:
+    """Continue the fundamental matrix Y0 along the path by Taylor steps.
+
+    Three stages.  The step points and increments depend only on the path
+    and on {0, lambda}, so they are listed first (``_step_points``).  One
+    recurrence over the whole stack of points then gives every step's
+    transfer matrix T_j (``_step_matrices``).  Last, the chain
+    Y <- T_j @ Y for j = 1..S carries Y0 to the end of the path.
+
+    Y0 of shape (n, m) follows a path of single curves.  Y0 of shape
+    (P, n, m) follows a path of pieces built from (P,) arrays of
+    endpoints: state p moves along curve p, all P in lock step, with the
+    parameter step the smallest the P curves allow.
+    """
+    Y = Y0.entries.copy() if isinstance(Y0, ComplexMatrix) else np.array(Y0, dtype=complex)
+    z, h = _step_points(sys, path)
+    if not len(z):
+        return Y
+    for T in _step_matrices(sys, z, h):
+        Y = T @ Y
     return Y
 
 

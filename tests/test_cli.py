@@ -153,12 +153,21 @@ def test_oracle_command(capsys):
     assert all(v["pass"] for v in payload.values())
 
 
-def test_oracle_singular_transported_matrix_exits_3(capsys):
-    # the transported M_lambda is numerically singular here; numpy's
-    # LinAlgError is a ValueError but not an input error
-    code, out, err = run(["oracle", "--alpha", "0,1e-10", "--beta", "1/4,1/2"], capsys)
+def test_oracle_singular_transported_matrix_exits_3(capsys, monkeypatch):
+    # a transport that returns zeros makes the transported M_lambda exactly
+    # singular; numpy's LinAlgError is a ValueError but not an input error
+    from hypermono import ode_oracle
+
+    monkeypatch.setattr(ode_oracle, "transport", lambda sys, path, Y0: np.zeros_like(Y0))
+    code, out, err = run(["oracle", "--alpha", "0,1/2", "--beta", "1/4,3/4"], capsys)
     assert code == 3 and out == ""
     assert "numerical failure" in err
+
+
+def test_oracle_near_resonant_pair_exits_3(capsys):
+    # cond(V_A) is about 6e9 here: the oracle must not pass the closed form
+    code, _, _ = run(["oracle", "--alpha", "0,1e-10", "--beta", "1/4,1/2"], capsys)
+    assert code == 3
 
 
 def test_oracle_step_over_the_term_cap_exits_3(capsys, monkeypatch):
@@ -343,6 +352,9 @@ def test_verify_tol_needs_a_check_that_reads_it(capsys):
     (["eval", "--what", "gamma", "--alpha", "0", "--beta", "0", "--s", "1+2k"], "--s"),
     (["eval", "--what", "S_A", "--alpha", "0", "--beta", "1/2", "--z", "infinity",
       "--arg", "0"], "--z"),
+    (["eval", "--what", "f", "--alpha", "0", "--beta", "1", "--k", "0",
+      "--phi", "0.1,abc"], "--phi"),
+    (["verify", "--checks", "cyclic", "--A", "1,2", "--m", "1,x"], "--m"),
 ])
 def test_non_finite_flag_values_exit_2(argv, flag, capsys):
     code, out, err = run(argv, capsys)

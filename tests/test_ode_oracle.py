@@ -10,10 +10,12 @@ from hypermono.exponents import validate_irreducible
 from hypermono.local_solutions import build_basis, eval_series
 from hypermono.matrices import char_poly
 from hypermono.monodromy import monodromy_matrices
+from hypermono import ode_oracle
 from hypermono.ode_oracle import (
     EvaluationNearSingularity,
     PathSpec,
     SingularityApproach,
+    StepFailure,
     arc,
     base_angle,
     companion_system,
@@ -374,3 +376,56 @@ def test_stacked_apply_matches_dense_per_path(n):
             assert np.max(np.abs(later[p] - ref)) <= 1e-13 * np.max(np.abs(ref))
     with pytest.raises(EvaluationNearSingularity):
         sys.recurrence(np.append(z, sys.lam + 1e-9))
+
+
+# --- step transfer matrices --------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_step_matrices_match_sequential_sums(n):
+    # each step's transfer matrix is the plain sum of the terms T_k h^k of
+    # the recurrence at its own point, from T_0 = I
+    sys = companion_system(_regular(n))
+    z = np.array([0.3, -0.5 + 0.2j, 2.0 - 1.5j, 0.99j, 0.6])
+    h = np.array([0.1, -0.12j, 0.8 + 0.3j, 0.2 - 0.1j, 0.0])
+    T = ode_oracle._step_matrices(sys, z, h)
+    assert T.shape == (len(z), n, n)
+    for j in range(len(z)):
+        step = sys.recurrence(z[j])
+        term, prev = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
+        ref = term.copy()
+        for k in range(120):
+            term, prev = step(k, term, prev), term
+            ref += term * h[j] ** (k + 1)
+        assert np.max(np.abs(T[j] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_transport_is_the_transfer_matrix_applied_to_the_seed(n):
+    data = _regular(n)
+    sys = companion_system(data)
+    sing = (0.0 + 0j, sys.lam)
+    theta = base_angle(data)
+    path = ode_oracle._loop_lambda(sys, 0.3, theta)
+    Y0 = fundamental_matrix(build_basis(data, "zero"), path.base, theta)
+    ref = transport(sys, path, np.eye(n)) @ Y0
+    assert np.max(np.abs(transport(sys, path, Y0) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # lock step, with square (P, n, n) and rectangular (P, n, m) seeds
+    z0, z1, Y0 = _radial_batch(data)
+    batch = PathSpec(pieces=(segment(z0, z1, sing),), base=z0)
+    T = transport(sys, batch, np.broadcast_to(np.eye(n), Y0.shape))
+    for seed in (Y0, Y0[..., :1], Y0[..., ::2]):
+        ref = T @ seed
+        out = transport(sys, batch, seed)
+        assert out.shape == seed.shape
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_one_step_over_the_term_cap_fails_among_converging_steps():
+    sys = companion_system(_regular(3))
+    z = np.array([0.3, 0.5, -0.5 + 0.2j, 0.99j])
+    h = np.array([0.1, 0.0, 0.1j, 0.2])
+    ode_oracle._step_matrices(sys, z, h)  # every step converges
+    # 0.95 of the way to 0: the terms shrink by 0.95 each, far too slowly
+    h[1] = -0.95 * z[1]
+    with pytest.raises(StepFailure):
+        ode_oracle._step_matrices(sys, z, h)
